@@ -1,7 +1,7 @@
 //! The discrete-event simulation engine.
 
 use crate::config::{SchedulerKind, SimConfig};
-use crate::result::{ProactiveStats, SimResult, TaskRecord};
+use crate::result::{ProactiveStats, SimResult};
 use crate::scarlett::{ProactiveTransfer, ScarlettState};
 use dare_core::{build_policy, PolicyCtx, ReplicationDecision, ReplicationPolicy};
 use dare_dfs::{BlockId, DefaultPlacement, Dfs};
@@ -107,7 +107,8 @@ enum Ev {
 pub enum StepOutcome {
     /// One event was dispatched; the run is still in progress.
     Progressed,
-    /// Every job has reached a terminal state; nothing was dispatched.
+    /// [`Engine::is_quiescent`] holds: every job is terminal and
+    /// recovery has drained. Nothing was dispatched.
     Quiescent,
 }
 
@@ -340,9 +341,6 @@ pub struct Engine {
     gray_nic: Vec<f64>,
     /// Map-task attempts that had to be re-executed due to failures.
     pub reexecuted_tasks: u64,
-    /// Per-attempt timeline (only populated with `record_timeline`).
-    timeline: Vec<TaskRecord>,
-    timeline_idx: FxHashMap<(u32, u32, u32), usize>,
     /// Speculative backup attempts launched.
     pub speculative_launches: u64,
     /// Races resolved while a duplicate attempt was still running (the
@@ -413,7 +411,7 @@ struct CorruptionIds {
 }
 
 /// Live state of a telemetry-enabled run. The sampler holds no events in
-/// the queue: `try_run` pumps it from the main loop, emitting the sample
+/// the queue: `step` pumps it before each dispatch, emitting the sample
 /// for a tick only once the next popped event's timestamp exceeds it —
 /// i.e. after every event sharing the tick's timestamp has drained — so a
 /// sample always reflects a settled cluster state and sequence numbers of
@@ -877,8 +875,6 @@ impl Engine {
             slow_factor: vec![1.0; n],
             gray_disk: vec![1.0; n],
             gray_nic: vec![1.0; n],
-            timeline: Vec::new(),
-            timeline_idx: FxHashMap::default(),
             reexecuted_tasks: 0,
             speculative_launches: 0,
             speculative_wins: 0,
@@ -939,69 +935,29 @@ impl Engine {
 
     /// Run to completion, reporting engine-level faults (a stalled event
     /// queue, an orphaned flow, a violated invariant) as a structured
-    /// [`crate::SimError`] rather than panicking.
+    /// [`crate::SimError`] rather than panicking. A loop over
+    /// [`Engine::step`], so the run ends at the one stop rule,
+    /// [`Engine::is_quiescent`]. Calling it on an engine already stepped
+    /// to quiescence just summarizes.
     pub fn try_run(mut self) -> Result<SimResult, crate::SimError> {
-        let total_jobs = self.jobs.len();
-        while self.finished < total_jobs {
-            // The pop is charged to the queue arm so the profile separates
-            // event-kernel cost from scheduler-decision cost. Observation
-            // only: `Instant` never feeds the simulation.
-            let popped = if self.profiler.is_some() {
-                let depth = self.events.len() as u64;
-                let start = std::time::Instant::now();
-                let popped = self.events.pop();
-                let elapsed = start.elapsed();
-                if let Some(p) = self.profiler.as_mut() {
-                    p.record(Subsystem::Queue, elapsed);
-                    p.note_queue_peak(depth);
-                }
-                popped
-            } else {
-                self.events.pop()
-            };
-            let Some((t, ev)) = popped else {
-                return Err(crate::SimError::Stalled {
-                    now: self.now,
-                    finished: self.finished,
-                    total: total_jobs,
-                    pending: self.queue.total_pending(),
-                });
-            };
-            debug_assert!(t >= self.now, "time went backwards");
-            // Emit the samples of every telemetry tick the popped event
-            // has passed: all events at times <= the tick have drained.
-            if self.telem.is_some() {
-                self.pump_telemetry(t);
-            }
-            self.now = t;
-            self.dispatch(ev)?;
-            if self.cfg.check_invariants {
-                self.check_invariants()?;
-            }
-        }
-        if self.telem.is_some() {
-            self.final_telemetry();
-        }
-        if self.cfg.check_invariants {
-            self.check_terminal_invariants()?;
-        }
+        while self.step()? == StepOutcome::Progressed {}
         Ok(self.finish())
     }
 
-    // ----- model-checker step control -------------------------------
+    // ----- step control ---------------------------------------------
     //
-    // The bounded model checker (`dare-mc`) drives the engine one event
-    // at a time instead of through `try_run`, injecting faults between
-    // events and fingerprinting the reached state for deduplication.
-    // `Engine` is not `Clone` (the scheduler is a boxed trait object),
-    // so the checker forks by replaying action prefixes through fresh
-    // engines — these hooks are the whole surface it needs.
+    // `try_run` is a loop over `step`. The bounded model checker
+    // (`dare-mc`) and the chaos fuzzer drive `step` directly, injecting
+    // faults between events and fingerprinting the reached state for
+    // deduplication. `Engine` is not `Clone` (the scheduler is a boxed
+    // trait object), so the checker forks by replaying action prefixes
+    // through fresh engines — these hooks are the whole surface it needs.
 
-    /// Dispatch exactly one pending event: the body of one `try_run`
-    /// loop iteration. Returns [`StepOutcome::Quiescent`] (after running
-    /// the terminal invariant checks, when enabled) once every job has
-    /// finished; a drained queue before that point is a stall, reported
-    /// as [`crate::SimError::Stalled`] exactly like `try_run` would.
+    /// Dispatch exactly one pending event. Returns
+    /// [`StepOutcome::Quiescent`] (after running the terminal invariant
+    /// checks, when enabled) once [`Engine::is_quiescent`] holds; a
+    /// drained queue before that point is a stall, reported as
+    /// [`crate::SimError::Stalled`].
     pub fn step(&mut self) -> Result<StepOutcome, crate::SimError> {
         if self.is_quiescent() {
             if self.cfg.check_invariants {
@@ -1009,7 +965,20 @@ impl Engine {
             }
             return Ok(StepOutcome::Quiescent);
         }
-        let Some((t, ev)) = self.events.pop() else {
+        // The pop is charged to the queue arm so the profile separates
+        // event-kernel cost from scheduler-decision cost. Observation
+        // only: `Instant` never feeds the simulation.
+        let popped = match self.profiler.as_mut() {
+            Some(p) => {
+                p.note_queue_peak(self.events.len() as u64);
+                let start = std::time::Instant::now();
+                let popped = self.events.pop();
+                p.record(Subsystem::Queue, start.elapsed());
+                popped
+            }
+            None => self.events.pop(),
+        };
+        let Some((t, ev)) = popped else {
             return Err(crate::SimError::Stalled {
                 now: self.now,
                 finished: self.finished,
@@ -1018,6 +987,8 @@ impl Engine {
             });
         };
         debug_assert!(t >= self.now, "time went backwards");
+        // Emit the samples of every telemetry tick the popped event has
+        // passed: all events at times <= the tick have drained.
         if self.telem.is_some() {
             self.pump_telemetry(t);
         }
@@ -1062,20 +1033,28 @@ impl Engine {
         self.events.push(self.now, Ev::CorruptReplica { node, block });
     }
 
-    /// True once the protocol has nothing left to do: every job reached
-    /// a terminal state, the re-replication pipeline drained, and no
-    /// fault transition (crash, rejoin, declare-dead, corruption
-    /// arrival, scrub detection) is still scheduled.
+    /// The one definition of "run finished": the protocol has nothing
+    /// left to do. Every job reached a terminal state, the
+    /// re-replication pipeline drained, no fault transition (crash,
+    /// rejoin, declare-dead, corruption arrival) is still scheduled, and,
+    /// while the block scanner runs, no live node holds an undetected
+    /// corrupt replica.
     ///
-    /// Stricter than the experiment harness's stop condition (which ends
-    /// at the last job): the stepped interface exists for the bounded
-    /// model checker, and closing a path before in-flight repairs and
-    /// pending declare/rejoin transitions resolve would hide exactly the
-    /// failure/recovery orderings it explores. Self-perpetuating chains
-    /// (heartbeats, scrub passes, epochs) don't count as pending work,
-    /// so this condition is still reached in bounded time.
+    /// Closing a run before in-flight repairs and pending declare/rejoin
+    /// transitions resolve would drop recovery cost from the results and
+    /// hide exactly the failure/recovery orderings the model checker
+    /// explores. Self-perpetuating chains (heartbeats, scrub passes,
+    /// epochs) don't count as pending work, so this condition is still
+    /// reached in bounded time: the only scrub outcome that matters is a
+    /// detection, and that is pending exactly while a scanned node
+    /// holds rot.
     pub fn is_quiescent(&self) -> bool {
         if self.finished < self.jobs.len() || self.recovery_backlog() > 0 {
+            return false;
+        }
+        let live_rot =
+            |i: usize| self.node_up(i) && self.dfs.datanode(NodeId(i as u32)).corrupt_count() > 0;
+        if self.cfg.scanner.is_some() && (0..self.crashed.len()).any(live_rot) {
             return false;
         }
         let mut fault_pending = false;
@@ -1086,7 +1065,6 @@ impl Engine {
                     | Ev::NodeRejoin(_)
                     | Ev::DeclareDead { .. }
                     | Ev::CorruptReplica { .. }
-                    | Ev::ScrubDone { .. }
             ) {
                 fault_pending = true;
             }
@@ -1758,21 +1736,6 @@ impl Engine {
         }
         self.running_on[node as usize].push((job, task));
         let present = self.dfs.is_physically_present(node_id, block);
-        if self.cfg.record_timeline {
-            self.timeline_idx
-                .insert((job, task, attempt), self.timeline.len());
-            self.timeline.push(TaskRecord {
-                job,
-                task,
-                attempt,
-                node,
-                speculative,
-                local_read: present,
-                launched: self.now,
-                read_done: None,
-                finished: None,
-            });
-        }
         let bytes = self.dfs.namenode().block_size(block);
         let file = self.dfs.namenode().file_of(block);
         if let Some(sc) = self.scarlett.as_mut() {
@@ -2148,7 +2111,6 @@ impl Engine {
             if self.jobs[f.job as usize].attempts[f.task as usize] != f.attempt {
                 continue; // attempt aborted by a failure while fetching
             }
-            self.mark_timeline(f.job, f.task, f.attempt, true, false);
             self.emit(TraceEvent::TaskReadDone {
                 job: f.job,
                 task: f.task,
@@ -2180,7 +2142,6 @@ impl Engine {
         }
         debug_assert!(self.active_local_reads[node as usize] > 0);
         self.active_local_reads[node as usize] -= 1;
-        self.mark_timeline(job, task, attempt, true, false);
         self.emit(TraceEvent::TaskReadDone {
             job,
             task,
@@ -2197,21 +2158,6 @@ impl Engine {
                 attempt,
             },
         );
-    }
-
-    /// Record a timeline milestone for an attempt (no-op unless tracing).
-    fn mark_timeline(&mut self, job: u32, task: u32, attempt: u32, read: bool, finish: bool) {
-        if !self.cfg.record_timeline {
-            return;
-        }
-        if let Some(&i) = self.timeline_idx.get(&(job, task, attempt)) {
-            if read {
-                self.timeline[i].read_done = Some(self.now);
-            }
-            if finish {
-                self.timeline[i].finished = Some(self.now);
-            }
-        }
     }
 
     /// Per-task compute time: the job's base compute ±10 % jitter, scaled
@@ -2295,7 +2241,6 @@ impl Engine {
         }
         self.running_on[node as usize].retain(|&(j, t)| !(j == job && t == task));
         self.free_map_slots[node as usize] += 1;
-        self.mark_timeline(job, task, attempt, false, true);
         {
             let js = &mut self.jobs[job as usize];
             js.live_attempts[task as usize] = js.live_attempts[task as usize].saturating_sub(1);
@@ -3147,6 +3092,11 @@ impl Engine {
     /// of the shared [`dare_simcore::check::InvariantId`] catalog, so the
     /// engine's per-event checks, the property suites, and the bounded
     /// model checker all report violations under the same names.
+    ///
+    /// Kept out of line: inlined into `step`, its only caller, it made
+    /// invariant-armed runs about 15% slower (perfbench `chaos-dare` on a
+    /// 2-core x86-64 host).
+    #[inline(never)]
     fn check_invariants(&self) -> Result<(), crate::SimError> {
         use dare_simcore::check::InvariantId as Inv;
         let mut inv = dare_simcore::check::Invariants::new();
@@ -3427,6 +3377,9 @@ impl Engine {
     }
 
     fn finish(mut self) -> SimResult {
+        if self.telem.is_some() {
+            self.final_telemetry();
+        }
         let trace = self.tracer.take().map(Tracer::finish);
         let telemetry = self.telem.take().map(|t| t.seal());
         let profile = self.profiler.take().map(|mut p| {
@@ -3473,11 +3426,6 @@ impl Engine {
             reexecuted_tasks: self.reexecuted_tasks,
             speculative_launches: self.speculative_launches,
             speculative_wins: self.speculative_wins,
-            timeline: if self.cfg.record_timeline {
-                Some(self.timeline)
-            } else {
-                None
-            },
             faults: self.stats,
             trace,
             telemetry,
@@ -4104,58 +4052,51 @@ mod tests {
     }
 
     #[test]
-    fn timeline_records_every_attempt_with_monotone_milestones() {
+    fn task_spans_cover_every_attempt_with_monotone_milestones() {
         let wl = tiny_workload(8, 3, 30);
-        let mut cfg = SimConfig::cct(PolicyKind::GreedyLru, SchedulerKind::Fifo, 61);
-        cfg.record_timeline = true;
+        let cfg = SimConfig::cct(PolicyKind::GreedyLru, SchedulerKind::Fifo, 61).with_trace();
         let r = crate::run(cfg, &wl);
-        let tl = r.timeline.as_ref().expect("timeline recorded");
+        let spans = dare_trace::query::task_spans(r.trace.as_ref().expect("trace recorded"));
         // No failures/speculation: exactly one attempt per map task.
-        assert_eq!(tl.len() as u64, r.run.maps);
-        for rec in tl {
-            assert!(!rec.speculative);
-            assert_eq!(rec.attempt, 0);
-            let read = rec.read_done.expect("attempt finished its read");
-            let fin = rec.finished.expect("attempt completed");
-            assert!(rec.launched <= read && read <= fin);
+        assert_eq!(spans.len() as u64, r.run.maps);
+        for s in &spans {
+            assert!(!s.speculative);
+            assert_eq!(s.attempt, 0);
+            assert!(s.committed, "every attempt commits");
+            let read = s.read_done.expect("attempt finished its read");
+            let end = s.end.expect("attempt completed");
+            assert!(s.start <= read && read <= end);
         }
-        // Local-read attempts in the timeline match the locality metric.
-        let local = tl.iter().filter(|t| t.local_read).count() as u64;
+        // Node-local spans match the locality metric.
+        let local = spans.iter().filter(|s| s.loc == Loc::Node).count() as u64;
         let metric_local: u64 = r.outcomes.iter().map(|o| o.node_local as u64).sum();
         assert_eq!(local, metric_local);
-        // CSV export is well-formed.
-        let csv = crate::result::timeline_csv(tl);
-        assert_eq!(csv.lines().count(), tl.len() + 1);
-        assert!(csv.starts_with("job,task,attempt,node"));
     }
 
     #[test]
-    fn timeline_includes_failed_and_speculative_attempts() {
+    fn task_spans_include_failed_and_speculative_attempts() {
         let wl = tiny_workload(8, 3, 30);
-        let mut cfg = SimConfig::ec2(PolicyKind::Vanilla, SchedulerKind::Fifo, 62)
+        let cfg = SimConfig::ec2(PolicyKind::Vanilla, SchedulerKind::Fifo, 62)
             .with_failures(vec![(25, 5)])
             .with_speculation(crate::config::SpeculationConfig {
                 slowdown_factor: 1.2,
                 min_elapsed_secs: 2.0,
-            });
-        cfg.record_timeline = true;
+            })
+            .with_trace();
         let r = crate::run(cfg, &wl);
-        let tl = r.timeline.as_ref().expect("timeline recorded");
+        let spans = dare_trace::query::task_spans(r.trace.as_ref().expect("trace recorded"));
         assert!(
-            tl.len() as u64 >= r.run.maps,
-            "extra attempts appear in the timeline"
+            spans.len() as u64 >= r.run.maps,
+            "extra attempts appear as spans"
         );
-        let aborted = tl.iter().filter(|t| t.finished.is_none()).count() as u64;
+        let uncommitted = spans.iter().filter(|s| !s.committed).count() as u64;
         assert!(
-            aborted <= r.reexecuted_tasks + r.speculative_launches,
-            "unfinished rows only from aborts/races"
+            uncommitted <= r.reexecuted_tasks + r.speculative_launches,
+            "uncommitted spans only from aborts/races"
         );
         if r.speculative_launches > 0 {
-            assert!(tl.iter().any(|t| t.speculative));
+            assert!(spans.iter().any(|s| s.speculative));
         }
-        // By default the timeline is absent.
-        let plain = crate::run(SimConfig::cct(PolicyKind::Vanilla, SchedulerKind::Fifo, 1), &wl);
-        assert!(plain.timeline.is_none());
     }
 
     #[test]

@@ -1,6 +1,7 @@
-//! ASCII Gantt rendering of a recorded task timeline.
+//! ASCII Gantt rendering of a traced run's task attempts.
 //!
-//! Turns the `record_timeline` output into a per-node lane chart for
+//! Turns the map-attempt spans of a trace
+//! ([`dare_trace::query::task_spans`]) into a per-node lane chart for
 //! eyeballing schedules in a terminal: where tasks ran, which were remote
 //! reads, where failures re-executed work, where backups raced
 //! stragglers. One character column spans `makespan / width` seconds;
@@ -9,25 +10,31 @@
 //! Legend: `#` node-local attempt, `o` non-local attempt, `s` speculative
 //! backup, `x` aborted attempt (node failure), `.` idle.
 
-use crate::result::TaskRecord;
 use dare_simcore::SimTime;
+use dare_trace::query::TaskSpan;
+use dare_trace::Loc;
 use std::fmt::Write as _;
 
-/// Render `records` as an ASCII chart `width` characters wide.
-/// Returns an empty string for an empty timeline.
-pub fn render(records: &[TaskRecord], width: usize) -> String {
+/// Last known instant of a span: its end, else its read, else its launch.
+fn last_seen(s: &TaskSpan) -> SimTime {
+    s.end.or(s.read_done).unwrap_or(s.start)
+}
+
+/// Render `spans` as an ASCII chart `width` characters wide.
+/// Returns an empty string when there are no spans.
+pub fn render(spans: &[TaskSpan], width: usize) -> String {
     assert!(width >= 10, "chart too narrow");
-    if records.is_empty() {
+    if spans.is_empty() {
         return String::new();
     }
-    let t_end = records
+    let t_end = spans
         .iter()
-        .map(|r| r.finished.or(r.read_done).unwrap_or(r.launched))
+        .map(last_seen)
         .max()
         .expect("non-empty")
         .as_secs_f64()
         .max(1e-9);
-    let nodes = records.iter().map(|r| r.node).max().expect("non-empty") as usize + 1;
+    let nodes = spans.iter().map(|r| r.node).max().expect("non-empty") as usize + 1;
 
     let col = |t: SimTime| -> usize {
         ((t.as_secs_f64() / t_end) * (width as f64 - 1.0)).round() as usize
@@ -37,18 +44,17 @@ pub fn render(records: &[TaskRecord], width: usize) -> String {
     let mut lanes: Vec<Vec<Vec<u8>>> = vec![Vec::new(); nodes]; // node -> lane -> row
     let mut lane_free_at: Vec<Vec<usize>> = vec![Vec::new(); nodes]; // col where lane frees
 
-    let mut sorted: Vec<&TaskRecord> = records.iter().collect();
-    sorted.sort_by_key(|r| (r.launched, r.job, r.task, r.attempt));
+    let mut sorted: Vec<&TaskSpan> = spans.iter().collect();
+    sorted.sort_by_key(|r| (r.start, r.job, r.task, r.attempt));
 
     for r in sorted {
-        let start = col(r.launched);
-        let end_t = r.finished.or(r.read_done).unwrap_or(r.launched);
-        let end = col(end_t).max(start);
-        let glyph = if r.finished.is_none() {
+        let start = col(r.start);
+        let end = col(last_seen(r)).max(start);
+        let glyph = if !r.committed {
             b'x'
         } else if r.speculative {
             b's'
-        } else if r.local_read {
+        } else if r.loc == Loc::Node {
             b'#'
         } else {
             b'o'
@@ -96,24 +102,24 @@ pub fn render(records: &[TaskRecord], width: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dare_simcore::SimTime;
 
-    fn rec(node: u32, start: u64, end: u64, local: bool) -> TaskRecord {
-        TaskRecord {
+    fn rec(node: u32, start: u64, end: u64, local: bool) -> TaskSpan {
+        TaskSpan {
             job: 0,
             task: 0,
             attempt: 0,
             node,
+            loc: if local { Loc::Node } else { Loc::Remote },
             speculative: false,
-            local_read: local,
-            launched: SimTime::from_secs(start),
+            start: SimTime::from_secs(start),
             read_done: Some(SimTime::from_secs(start)),
-            finished: Some(SimTime::from_secs(end)),
+            end: Some(SimTime::from_secs(end)),
+            committed: true,
         }
     }
 
     #[test]
-    fn empty_timeline_renders_empty() {
+    fn no_spans_render_empty() {
         assert_eq!(render(&[], 40), "");
     }
 
@@ -151,7 +157,7 @@ mod tests {
     #[test]
     fn aborted_attempts_are_marked() {
         let mut r = rec(0, 0, 10, true);
-        r.finished = None;
+        r.committed = false;
         r.read_done = None;
         let other = rec(0, 20, 100, true);
         let chart = render(&[r, other], 50);

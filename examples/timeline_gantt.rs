@@ -1,6 +1,7 @@
-//! Visualize a schedule: run a small trace with timeline recording and
-//! render per-node ASCII Gantt charts — vanilla vs DARE side by side, with
-//! a node failure in the middle to show re-execution.
+//! Visualize a schedule: run a small workload with tracing on and render
+//! the trace's map-attempt spans as per-node ASCII Gantt charts — vanilla
+//! vs DARE side by side, with a node failure in the middle to show
+//! re-execution.
 //!
 //! ```text
 //! cargo run --release --example timeline_gantt
@@ -8,6 +9,7 @@
 
 use dare_repro::core::PolicyKind;
 use dare_repro::mapred::{self, gantt, SchedulerKind, SimConfig};
+use dare_repro::trace::query::task_spans;
 use dare_repro::workload::swim::{synthesize, SwimParams};
 
 fn main() {
@@ -26,11 +28,11 @@ fn main() {
         ("vanilla Hadoop", PolicyKind::Vanilla),
         ("DARE (ElephantTrap p=0.3)", PolicyKind::elephant_default()),
     ] {
-        let mut cfg = SimConfig::cct(policy, SchedulerKind::Fifo, seed)
-            .with_failures(vec![(45, 7)]);
-        cfg.record_timeline = true;
+        let cfg = SimConfig::cct(policy, SchedulerKind::Fifo, seed)
+            .with_failures(vec![(45, 7)])
+            .with_trace();
         let r = mapred::run(cfg, &wl);
-        let tl = r.timeline.as_ref().expect("timeline recorded");
+        let spans = task_spans(r.trace.as_ref().expect("trace recorded"));
         println!("=== {label} ===");
         println!(
             "locality {:.1}%  gmtt {:.1}s  re-executed {}",
@@ -38,7 +40,7 @@ fn main() {
             r.run.gmtt_secs,
             r.reexecuted_tasks
         );
-        print!("{}", gantt::render(tl, 100));
+        print!("{}", gantt::render(&spans, 100));
         println!();
     }
     println!(
