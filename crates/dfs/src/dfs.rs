@@ -6,6 +6,7 @@ use crate::ids::{BlockId, FileId};
 use crate::namenode::NameNode;
 use crate::placement::PlacementPolicy;
 use dare_net::{NodeId, Topology};
+use dare_simcore::check::DirtySet;
 use dare_simcore::{DetRng, SimDuration, SimTime};
 
 /// File-system configuration (the knobs Hadoop exposes in hdfs-site.xml).
@@ -91,6 +92,10 @@ pub struct Dfs {
     nn: NameNode,
     dns: Vec<DataNode>,
     topo: Topology,
+    /// Blocks whose locations or replicas changed, and nodes whose
+    /// dynamic bytes changed, since the last [`Dfs::drain_dirty`].
+    dirty_blocks: DirtySet,
+    dirty_nodes: DirtySet,
 }
 
 impl Dfs {
@@ -102,6 +107,8 @@ impl Dfs {
             nn: NameNode::new(),
             dns,
             topo,
+            dirty_blocks: DirtySet::default(),
+            dirty_nodes: DirtySet::default(),
         }
     }
 
@@ -165,6 +172,7 @@ impl Dfs {
             for n in self.nn.primary_locations(*b).to_vec() {
                 self.dns[n.idx()].add_primary(*b, sz);
             }
+            self.dirty_blocks.mark(b.idx());
         }
         fid
     }
@@ -194,6 +202,8 @@ impl Dfs {
         }
         self.nn
             .enqueue_dynamic_report(now + self.cfg.report_delay, b, node);
+        self.dirty_blocks.mark(b.idx());
+        self.dirty_nodes.mark(node.idx());
         true
     }
 
@@ -208,6 +218,8 @@ impl Dfs {
         if !self.dns[node.idx()].remove_dynamic(b, bytes) {
             return None;
         }
+        self.dirty_blocks.mark(b.idx());
+        self.dirty_nodes.mark(node.idx());
         Some(self.nn.remove_dynamic(b, node))
     }
 
@@ -216,6 +228,7 @@ impl Dfs {
     /// when a read or a scrub checksums the replica. Returns false when no
     /// replica is resident or it is already corrupt.
     pub fn corrupt_replica(&mut self, node: NodeId, b: BlockId) -> bool {
+        self.dirty_blocks.mark(b.idx());
         self.dns[node.idx()].mark_corrupt(b)
     }
 
@@ -247,6 +260,7 @@ impl Dfs {
         }
         let bytes = self.nn.block_size(b);
         let was_visible = self.nn.primary_locations(b).contains(&node);
+        self.dirty_blocks.mark(b.idx());
         self.dns[node.idx()].remove_primary(b, bytes);
         if was_visible {
             self.nn.remove_primary_location(b, node);
@@ -258,7 +272,11 @@ impl Dfs {
     /// Returns the (block, node) pairs that just became scheduler-visible
     /// (reusable buffer, valid until the next call).
     pub fn process_reports(&mut self, now: SimTime) -> &[(BlockId, NodeId)] {
-        self.nn.process_reports(now)
+        let promoted = self.nn.process_reports(now);
+        for &(b, _) in promoted {
+            self.dirty_blocks.mark(b.idx());
+        }
+        promoted
     }
 
     /// Fail a node: drop all its replicas and instantly re-replicate every
@@ -274,6 +292,7 @@ impl Dfs {
     /// and recovery bandwidth itself via [`Dfs::mark_node_dead`],
     /// [`Dfs::wipe_node`], [`Dfs::rejoin_node`] and [`Dfs::add_replica`].
     pub fn fail_node(&mut self, node: NodeId, live: &[NodeId], rng: &mut DetRng) -> FailOutcome {
+        self.dirty_blocks.mark_all();
         let under = self.nn.fail_node(node, self.cfg.replication_factor);
         self.dns[node.idx()] = DataNode::new(node);
         let mut out = FailOutcome::default();
@@ -311,6 +330,7 @@ impl Dfs {
     /// configured replication factor. The caller decides whether the disk
     /// contents survive ([`Dfs::rejoin_node`]) or not ([`Dfs::wipe_node`]).
     pub fn mark_node_dead(&mut self, node: NodeId) -> Vec<BlockId> {
+        self.dirty_blocks.mark_all();
         self.nn.fail_node(node, self.cfg.replication_factor)
     }
 
@@ -318,6 +338,7 @@ impl Dfs {
     /// the name node view — pair with [`Dfs::mark_node_dead`] at
     /// declaration time.
     pub fn wipe_node(&mut self, node: NodeId) {
+        self.dirty_blocks.mark_all();
         self.dns[node.idx()] = DataNode::new(node);
     }
 
@@ -326,6 +347,7 @@ impl Dfs {
     /// is re-registered (immediately visible — the bytes are already
     /// there). Returns the restored blocks in ascending id order.
     pub fn rejoin_node(&mut self, node: NodeId) -> Vec<BlockId> {
+        self.dirty_blocks.mark_all();
         let blocks = self.dns[node.idx()].all_blocks();
         let mut restored = Vec::new();
         for b in blocks {
@@ -358,6 +380,7 @@ impl Dfs {
         let bytes = self.nn.block_size(b);
         self.nn.add_primary_location(b, node);
         self.dns[node.idx()].add_primary(b, bytes);
+        self.dirty_blocks.mark(b.idx());
     }
 
     /// Migrate a primary replica of `b` from `src` to `dst` (balancer
@@ -380,6 +403,7 @@ impl Dfs {
         self.nn.add_primary_location(b, dst);
         self.dns[src.idx()].remove_primary(b, bytes);
         self.dns[dst.idx()].add_primary(b, bytes);
+        self.dirty_blocks.mark(b.idx());
     }
 
     /// Gracefully decommission a node: every replica it holds is first
@@ -393,6 +417,7 @@ impl Dfs {
         live: &[NodeId],
         rng: &mut DetRng,
     ) -> usize {
+        self.dirty_blocks.mark_all();
         let blocks = self.dns[node.idx()].all_blocks();
         let mut migrated = 0;
         for b in blocks {
@@ -417,6 +442,15 @@ impl Dfs {
             migrated += 1;
         }
         migrated
+    }
+
+    /// Move the blocks and nodes changed since the last call to `blocks`
+    /// and `nodes`. Returns true when a whole-node operation (or a fresh
+    /// file system) asks for a full sweep instead. Checking only: the log
+    /// never feeds the simulation or a fingerprint.
+    pub fn drain_dirty(&mut self, blocks: &mut Vec<u32>, nodes: &mut Vec<u32>) -> bool {
+        let all = self.dirty_blocks.drain_into(blocks);
+        self.dirty_nodes.drain_into(nodes) | all
     }
 
     /// Sum of disk writes across data nodes (thrashing metric).
@@ -526,6 +560,40 @@ mod tests {
         };
         let dfs = Dfs::new(cfg, Topology::single_rack(10));
         (dfs, DetRng::new(77))
+    }
+
+    #[test]
+    fn dirty_log_tracks_touched_blocks_and_asks_for_sweeps() {
+        let (mut dfs, mut rng) = small_dfs();
+        let f = dfs.create_file(
+            SimTime::ZERO,
+            "f".into(),
+            256 * MB,
+            None,
+            &DefaultPlacement,
+            &mut rng,
+            false,
+        );
+        let (mut blocks, mut nodes) = (Vec::new(), Vec::new());
+        assert!(dfs.drain_dirty(&mut blocks, &mut nodes), "a fresh file system is swept");
+        let b = dfs.namenode().file(f).blocks[1];
+        let outsider = (0..10)
+            .map(NodeId)
+            .find(|&n| !dfs.is_physically_present(n, b))
+            .unwrap();
+        dfs.insert_dynamic(SimTime::ZERO, outsider, b);
+        dfs.process_reports(SimTime::from_secs(3));
+        blocks.clear();
+        nodes.clear();
+        assert!(!dfs.drain_dirty(&mut blocks, &mut nodes));
+        assert_eq!(blocks, [b.0 as u32]);
+        assert_eq!(nodes, [outsider.0]);
+        blocks.clear();
+        nodes.clear();
+        assert!(!dfs.drain_dirty(&mut blocks, &mut nodes));
+        assert!(blocks.is_empty() && nodes.is_empty(), "a drain resets the log");
+        dfs.wipe_node(outsider);
+        assert!(dfs.drain_dirty(&mut blocks, &mut nodes), "whole-node operations ask for a sweep");
     }
 
     #[test]

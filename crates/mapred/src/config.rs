@@ -69,10 +69,15 @@ pub struct SimConfig {
     /// [`crate::SimResult::trace`]. Observation-only: a traced run is
     /// bit-identical to an untraced one. Off by default.
     pub record_trace: bool,
-    /// Run the structural invariant checks from `dare_simcore::check`
-    /// after every dispatched event (no block lost while a live replica
-    /// exists, slot conservation, every task terminates). Expensive; for
-    /// tests and the resilience experiment.
+    /// Check the structural invariants from `dare_simcore::check` after
+    /// every dispatched event (no block lost while a live replica
+    /// exists, slot conservation, dynamic replicas within budget, ...)
+    /// and the terminal ones at quiescence. Each event's check covers
+    /// the nodes and blocks it touched; liveness transitions, whole-node
+    /// DFS operations, quiescence and every `blocks + nodes` events run
+    /// the full sweep, and debug builds cross-check every event against
+    /// it. Observation-only: an armed run is bit-identical to an unarmed
+    /// one unless it fails.
     pub check_invariants: bool,
     /// Drive the run with the retained naive-scan reference schedulers
     /// (`dare_sched::oracle`) instead of the indexed ones. Bit-identical

@@ -1,6 +1,7 @@
 //! The discrete-event simulation engine.
 
 use crate::config::{SchedulerKind, SimConfig};
+use crate::nodes::Nodes;
 use crate::result::{ProactiveStats, SimResult};
 use crate::scarlett::{ProactiveTransfer, ScarlettState};
 use dare_core::{build_policy, PolicyCtx, ReplicationDecision, ReplicationPolicy};
@@ -15,6 +16,9 @@ use dare_simcore::{DetRng, EventQueue, FxHashMap, FxHashSet, SimDuration, SimTim
 use dare_telemetry::{JobPhase, JobSample, MetricId, MetricRegistry, NodeSample, Profiler, Subsystem, Telemetry};
 use dare_trace::{FlowCtx, FlowKind, Loc, TraceEvent, Tracer};
 use dare_workload::Workload;
+use invariants::InvariantScope;
+
+mod invariants;
 
 /// Borrow-based location lookup over the DFS's merged visible-location
 /// lists. `locations` returns the name node's maintained slice, so the
@@ -255,14 +259,8 @@ pub struct Engine {
     jobs: Vec<JobState>,
     events: EventQueue<Ev>,
     now: SimTime,
-    free_map_slots: Vec<u32>,
-    free_reduce_slots: Vec<u32>,
-    /// Nodes with at least one free reduce slot, kept sorted so
-    /// `fill_reduce_slots` finds the lowest-index candidate in O(log n)
-    /// instead of scanning all nodes (the scan dominated 10k-node runs).
-    /// Membership tracks `free_reduce_slots[i] > 0` only; liveness is
-    /// re-checked at pick time, exactly like the old linear scan did.
-    reduce_free_nodes: std::collections::BTreeSet<u32>,
+    /// Per-node slots, running work and liveness.
+    nodes: Nodes,
     /// Reduce tasks awaiting a slot: (job, per-reducer duration), FIFO.
     pending_reduces: std::collections::VecDeque<(u32, SimDuration)>,
     active_local_reads: Vec<u32>,
@@ -297,17 +295,9 @@ pub struct Engine {
     inflight_proactive: Vec<u64>,
     scarlett: Option<ScarlettState>,
     proactive_flows: FxHashMap<FlowId, ProactiveTransfer>,
-    /// Node is silently down: it stops heartbeating, its in-flight work
-    /// becomes zombie state, but the master does not know yet.
-    crashed: Vec<bool>,
-    /// Node declared dead by the master after the missed-heartbeat
-    /// timeout; its replicas are dropped and its attempts re-queued.
-    declared: Vec<bool>,
     /// Per-node liveness epoch, bumped on every crash and rejoin so
     /// in-flight heartbeat chains and death timers go stale.
     node_epoch: Vec<u32>,
-    /// Reduce tasks currently running per node (slot restore on rejoin).
-    running_reduces: Vec<u32>,
     /// Under-replicated blocks awaiting recovery, fewest visible replicas
     /// first: (visible count, enqueue seq, block id).
     recovery_q: std::collections::BTreeSet<(u32, u64, u64)>,
@@ -322,8 +312,6 @@ pub struct Engine {
     lost_blocks: FxHashSet<u64>,
     /// Failure-detection and recovery counters.
     stats: dare_metrics::FaultStats,
-    /// Map tasks currently running (or fetching) per node.
-    running_on: Vec<Vec<(u32, u32)>>,
     /// A background scrub pass is reading this node's disk (task reads
     /// share the bandwidth left after the scrub budget).
     scrubbing: Vec<bool>,
@@ -358,6 +346,8 @@ pub struct Engine {
     profiler: Option<Box<Profiler>>,
     /// Logical events processed (see `SimResult::logical_events`).
     logical_events: u64,
+    /// Scope and pacing of the incremental invariant check.
+    inv_scope: InvariantScope,
 }
 
 /// Column handles of the cluster-series schema, registered once at engine
@@ -830,13 +820,7 @@ impl Engine {
             jobs,
             events,
             now: SimTime::ZERO,
-            free_map_slots: vec![slots; n],
-            free_reduce_slots: vec![cfg.profile.reduce_slots_per_node; n],
-            reduce_free_nodes: if cfg.profile.reduce_slots_per_node > 0 {
-                (0..n as u32).collect()
-            } else {
-                std::collections::BTreeSet::new()
-            },
+            nodes: Nodes::new(n, slots, cfg.profile.reduce_slots_per_node),
             pending_reduces: std::collections::VecDeque::new(),
             active_local_reads: vec![0; n],
             disk_caps_mbps,
@@ -858,10 +842,7 @@ impl Engine {
             inflight_proactive: vec![0; n],
             scarlett,
             proactive_flows: FxHashMap::default(),
-            crashed: vec![false; n],
-            declared: vec![false; n],
             node_epoch: vec![0; n],
-            running_reduces: vec![0; n],
             recovery_q: std::collections::BTreeSet::new(),
             recovery_queued: FxHashSet::default(),
             recovery_seq: 0,
@@ -869,7 +850,6 @@ impl Engine {
             recovery_rng: root.substream("recovery"),
             lost_blocks: FxHashSet::default(),
             stats: dare_metrics::FaultStats::default(),
-            running_on: vec![Vec::new(); n],
             scrubbing: vec![false; n],
             repair_started: FxHashMap::default(),
             slow_factor: vec![1.0; n],
@@ -890,6 +870,7 @@ impl Engine {
             },
             profiler: cfg.self_profile.then(|| Box::new(Profiler::new())),
             logical_events: 0,
+            inv_scope: InvariantScope::default(),
             cfg,
         }
     }
@@ -953,14 +934,16 @@ impl Engine {
     // trait object), so the checker forks by replaying action prefixes
     // through fresh engines — these hooks are the whole surface it needs.
 
-    /// Dispatch exactly one pending event. Returns
-    /// [`StepOutcome::Quiescent`] (after running the terminal invariant
-    /// checks, when enabled) once [`Engine::is_quiescent`] holds; a
-    /// drained queue before that point is a stall, reported as
-    /// [`crate::SimError::Stalled`].
+    /// Dispatch exactly one pending event, then (when enabled) check the
+    /// structural invariants of what it touched. Returns
+    /// [`StepOutcome::Quiescent`] (after a full structural sweep and the
+    /// terminal invariant checks, when enabled) once
+    /// [`Engine::is_quiescent`] holds; a drained queue before that point
+    /// is a stall, reported as [`crate::SimError::Stalled`].
     pub fn step(&mut self) -> Result<StepOutcome, crate::SimError> {
         if self.is_quiescent() {
             if self.cfg.check_invariants {
+                self.sweep_invariants()?;
                 self.check_terminal_invariants()?;
             }
             return Ok(StepOutcome::Quiescent);
@@ -1053,8 +1036,8 @@ impl Engine {
             return false;
         }
         let live_rot =
-            |i: usize| self.node_up(i) && self.dfs.datanode(NodeId(i as u32)).corrupt_count() > 0;
-        if self.cfg.scanner.is_some() && (0..self.crashed.len()).any(live_rot) {
+            |i: usize| self.nodes.up(i) && self.dfs.datanode(NodeId(i as u32)).corrupt_count() > 0;
+        if self.cfg.scanner.is_some() && (0..self.nodes.len()).any(live_rot) {
             return false;
         }
         let mut fault_pending = false;
@@ -1079,7 +1062,7 @@ impl Engine {
 
     /// Number of worker nodes.
     pub fn num_nodes(&self) -> usize {
-        self.crashed.len()
+        self.nodes.len()
     }
 
     /// Number of DFS blocks (inputs plus any job outputs registered).
@@ -1090,7 +1073,7 @@ impl Engine {
     /// True when `node` can take work and serve reads (neither silently
     /// crashed nor declared dead).
     pub fn node_alive(&self, node: u32) -> bool {
-        self.node_up(node as usize)
+        self.nodes.up(node as usize)
     }
 
     /// Failure-detection and recovery counters so far.
@@ -1166,22 +1149,22 @@ impl Engine {
         let now_us = self.now.as_micros();
         let ago = |t: SimTime| now_us.saturating_sub(t.as_micros());
         let mut h = self.dfs.extended_fingerprint(self.now);
-        for i in 0..self.crashed.len() {
+        for i in 0..self.nodes.len() {
             mix(
                 &mut h,
-                self.crashed[i] as u64
-                    | (self.declared[i] as u64) << 1
+                self.nodes.crashed(i) as u64
+                    | (self.nodes.declared(i) as u64) << 1
                     | (self.scrubbing[i] as u64) << 2,
             );
             mix(&mut h, self.node_epoch[i] as u64);
-            mix(&mut h, self.free_map_slots[i] as u64);
-            mix(&mut h, self.free_reduce_slots[i] as u64);
-            mix(&mut h, self.running_reduces[i] as u64);
+            mix(&mut h, self.nodes.free_map_slots(i) as u64);
+            mix(&mut h, self.nodes.free_reduce_slots(i) as u64);
+            mix(&mut h, self.nodes.running_reduces(i) as u64);
             mix(&mut h, self.active_local_reads[i] as u64);
             mix(&mut h, self.slow_factor[i].to_bits());
             mix(&mut h, self.gray_disk[i].to_bits());
             mix(&mut h, self.gray_nic[i].to_bits());
-            for &(j, t) in &self.running_on[i] {
+            for &(j, t) in self.nodes.running_on(i) {
                 mix(&mut h, ((j as u64) << 32) | t as u64);
             }
             mix(&mut h, u64::MAX); // per-node terminator
@@ -1347,7 +1330,7 @@ impl Engine {
             return;
         };
         let t_us = ts.as_micros();
-        let n = self.crashed.len();
+        let n = self.nodes.len();
         let map_cap = self.cfg.profile.map_slots_per_node;
         let red_cap = self.cfg.profile.reduce_slots_per_node;
         self.flows.nic_utilization_into(&mut telem.util_scratch);
@@ -1360,16 +1343,16 @@ impl Engine {
         let (mut red_used, mut red_total) = (0u64, 0u64);
         let mut running_reduces = 0u64;
         for i in 0..n {
-            let declared = self.declared[i];
+            let declared = self.nodes.declared(i);
             let nm_total = if declared { 0 } else { map_cap };
-            let nm_used = nm_total.saturating_sub(self.free_map_slots[i]);
+            let nm_used = nm_total.saturating_sub(self.nodes.free_map_slots(i));
             let nr_total = if declared { 0 } else { red_cap };
-            let nr_used = nr_total.saturating_sub(self.free_reduce_slots[i]);
+            let nr_used = nr_total.saturating_sub(self.nodes.free_reduce_slots(i));
             map_used += nm_used as u64;
             map_total += nm_total as u64;
             red_used += nr_used as u64;
             red_total += nr_total as u64;
-            running_reduces += self.running_reduces[i] as u64;
+            running_reduces += self.nodes.running_reduces(i) as u64;
             let (tx, rx) = telem.util_scratch[i];
             telem.reg.observe(telem.ids.link_util, tx);
             telem.reg.observe(telem.ids.link_util, rx);
@@ -1377,7 +1360,7 @@ impl Engine {
             telem.nodes.push(NodeSample {
                 t_us,
                 node: i as u32,
-                alive: !self.crashed[i] && !declared,
+                alive: self.nodes.up(i),
                 advertised: !declared,
                 map_used: nm_used,
                 map_total: nm_total,
@@ -1567,12 +1550,6 @@ impl Engine {
         Ok(())
     }
 
-    /// A node can take work and serve reads: neither silently crashed nor
-    /// declared dead.
-    fn node_up(&self, i: usize) -> bool {
-        !self.crashed[i] && !self.declared[i]
-    }
-
     fn on_job_arrival(&mut self, j: u32) {
         self.emit(TraceEvent::JobSubmitted {
             job: j,
@@ -1602,7 +1579,7 @@ impl Engine {
         if periodic && epoch != self.node_epoch[node as usize] {
             return; // chain from before a crash/rejoin: superseded
         }
-        if !self.node_up(node as usize) {
+        if !self.nodes.up(node as usize) {
             return;
         }
         // Dynamic replicas become visible in a batch; mirror every
@@ -1645,7 +1622,7 @@ impl Engine {
     /// Fill every free map slot on `node` the scheduler can use, falling
     /// back to a speculative backup when no regular work fits.
     fn service_map_slots(&mut self, node: u32) {
-        while self.free_map_slots[node as usize] > 0 {
+        while self.nodes.free_map_slots(node as usize) > 0 {
             let assignment = {
                 let lookup = DfsLookup(&self.dfs);
                 self.scheduler.pick_map(
@@ -1689,14 +1666,14 @@ impl Engine {
     /// differs from the staggered default; the flag is therefore opt-in
     /// and never mixed into golden traces.
     fn on_heartbeat_tick(&mut self) {
-        let n = self.crashed.len();
+        let n = self.nodes.len();
         self.logical_events += n as u64;
         self.process_promotions();
         let may_assign =
             self.queue.total_pending() > 0 || self.cfg.speculation.is_some();
         if may_assign {
             for node in 0..n {
-                if self.free_map_slots[node] > 0 && self.node_up(node) {
+                if self.nodes.free_map_slots(node) > 0 && self.nodes.up(node) {
                     self.service_map_slots(node as u32);
                 }
             }
@@ -1734,7 +1711,7 @@ impl Engine {
             });
             self.quarantine_and_repair(node, block);
         }
-        self.running_on[node as usize].push((job, task));
+        self.nodes.start_map(node as usize, job, task);
         let present = self.dfs.is_physically_present(node_id, block);
         let bytes = self.dfs.namenode().block_size(block);
         let file = self.dfs.namenode().file_of(block);
@@ -1789,6 +1766,15 @@ impl Engine {
                             .note_replica_removed(v, node_id, self.dfs.topology());
                     }
                     self.emit(TraceEvent::ReplicaEvicted { node, block: v.0 });
+                } else {
+                    // The victim's bytes are still in flight: the policy
+                    // no longer counts them, so they must not land.
+                    let jobs = &self.jobs;
+                    for f in self.fetches.values_mut() {
+                        if f.node == node && jobs[f.job as usize].blocks[f.task as usize] == v {
+                            f.replicate = false;
+                        }
+                    }
                 }
             }
             self.emit(TraceEvent::ReplicaDecision {
@@ -1799,8 +1785,6 @@ impl Engine {
             });
             replicate = true;
         }
-
-        self.free_map_slots[node as usize] -= 1;
 
         if present {
             // Local read: disk capacity shared among concurrent readers.
@@ -1844,8 +1828,7 @@ impl Engine {
                     // The backup's pre-checked source was the local
                     // replica the checksum just quarantined: tear down
                     // only this backup, leaving the original running.
-                    self.running_on[node as usize].retain(|&(j, t)| !(j == job && t == task));
-                    self.free_map_slots[node as usize] += 1;
+                    self.nodes.release_map(node as usize, job, task);
                     let js = &mut self.jobs[job as usize];
                     js.live_attempts[task as usize] =
                         js.live_attempts[task as usize].saturating_sub(1);
@@ -1909,7 +1892,7 @@ impl Engine {
                 reader_holds = true;
                 continue;
             }
-            if !self.node_up(l.idx()) {
+            if !self.nodes.up(l.idx()) {
                 continue; // silent or dead nodes serve nothing
             }
             self.src_any.push(l);
@@ -1941,7 +1924,7 @@ impl Engine {
         self.dfs
             .visible_locations(block)
             .iter()
-            .any(|l| *l == reader || self.node_up(l.idx()))
+            .any(|l| *l == reader || self.nodes.up(l.idx()))
     }
 
     /// Cancel a flow and record it for the current NetCheck batch (see
@@ -2075,14 +2058,7 @@ impl Engine {
                     // committed, or the attempt was aborted): release
                     // this reader's registration if it still exists.
                     let ri = f.node as usize;
-                    if let Some(p) = self.running_on[ri]
-                        .iter()
-                        .position(|&(j, t)| j == f.job && t == f.task)
-                    {
-                        self.running_on[ri].swap_remove(p);
-                        if self.node_up(ri) {
-                            self.free_map_slots[ri] += 1;
-                        }
+                    if self.nodes.release_first_map(ri, f.job, f.task) {
                         self.emit(TraceEvent::TaskAborted {
                             job: f.job,
                             task: f.task,
@@ -2134,7 +2110,7 @@ impl Engine {
     }
 
     fn on_local_read_done(&mut self, node: u32, job: u32, task: u32, attempt: u32) {
-        if self.crashed[node as usize] {
+        if self.nodes.crashed(node as usize) {
             return; // zombie: the node went silent mid-read
         }
         if self.jobs[job as usize].attempts[task as usize] != attempt {
@@ -2173,7 +2149,7 @@ impl Engine {
         let Some(spec) = self.cfg.speculation else {
             return false;
         };
-        if !self.node_up(node as usize) || self.free_map_slots[node as usize] == 0 {
+        if !self.nodes.up(node as usize) || self.nodes.free_map_slots(node as usize) == 0 {
             return false;
         }
         // A job is speculation-eligible when all its maps are handed out
@@ -2208,7 +2184,7 @@ impl Engine {
                     && js.live_attempts[t] == 1
                     && self.now.saturating_since(js.started_at[t]).as_secs_f64() > threshold
                     // never co-locate the backup with the straggler
-                    && !self.running_on[node as usize].contains(&(job, t as u32))
+                    && !self.nodes.running_on(node as usize).contains(&(job, t as u32))
                     // a backup must have something live to read from
                     && self.has_live_source(js.blocks[t], NodeId(node))
             });
@@ -2233,14 +2209,13 @@ impl Engine {
     }
 
     fn on_compute_done(&mut self, node: u32, job: u32, task: u32, attempt: u32) {
-        if self.crashed[node as usize] {
+        if self.nodes.crashed(node as usize) {
             return; // zombie: the node went silent while computing
         }
         if self.jobs[job as usize].attempts[task as usize] != attempt {
             return; // stale completion from an aborted attempt
         }
-        self.running_on[node as usize].retain(|&(j, t)| !(j == job && t == task));
-        self.free_map_slots[node as usize] += 1;
+        self.nodes.release_map(node as usize, job, task);
         {
             let js = &mut self.jobs[job as usize];
             js.live_attempts[task as usize] = js.live_attempts[task as usize].saturating_sub(1);
@@ -2304,22 +2279,10 @@ impl Engine {
     /// reducers pull from every map output, so placement has no locality).
     fn fill_reduce_slots(&mut self) {
         while let Some(&(job, dur)) = self.pending_reduces.front() {
-            // Lowest-index live node with a free slot, via the sorted
-            // free-node index (same pick as the old full scan).
-            let Some(node) = self
-                .reduce_free_nodes
-                .iter()
-                .find(|&&i| self.node_up(i as usize))
-                .map(|&i| i as usize)
-            else {
+            let Some(node) = self.nodes.take_reduce_slot() else {
                 return;
             };
             self.pending_reduces.pop_front();
-            self.free_reduce_slots[node] -= 1;
-            if self.free_reduce_slots[node] == 0 {
-                self.reduce_free_nodes.remove(&(node as u32));
-            }
-            self.running_reduces[node] += 1;
             self.events.push(
                 self.now + dur,
                 Ev::ReduceDone {
@@ -2331,12 +2294,7 @@ impl Engine {
     }
 
     fn on_reduce_done(&mut self, node: u32, job: u32) {
-        let ni = node as usize;
-        self.running_reduces[ni] = self.running_reduces[ni].saturating_sub(1);
-        if self.node_up(ni) {
-            self.free_reduce_slots[ni] += 1;
-            self.reduce_free_nodes.insert(node);
-        }
+        self.nodes.finish_reduce(node as usize);
         let js = &mut self.jobs[job as usize];
         debug_assert!(!js.failed, "failed jobs never reach the reduce phase");
         js.reduces_done += 1;
@@ -2369,10 +2327,9 @@ impl Engine {
     /// timeout declares it dead — or it rejoins first.
     fn on_node_crash(&mut self, node: u32, permanent: bool, down_secs: u64) {
         let ni = node as usize;
-        if self.crashed[ni] || self.declared[ni] {
+        if !self.nodes.crash(ni) {
             return; // idempotent: overlapping injections (rack + node)
         }
-        self.crashed[ni] = true;
         self.node_epoch[ni] += 1;
         self.active_local_reads[ni] = 0;
         self.scrubbing[ni] = false; // the in-flight pass dies with the node
@@ -2418,13 +2375,7 @@ impl Engine {
                         attempt: self.jobs[job as usize].attempts[task as usize],
                         node: reader,
                     });
-                    let ri = reader as usize;
-                    if let Some(p) = self.running_on[ri].iter().position(|&(j, t)| j == job && t == task) {
-                        self.running_on[ri].swap_remove(p);
-                        if self.node_up(ri) {
-                            self.free_map_slots[ri] += 1;
-                        }
-                    }
+                    self.nodes.release_first_map(reader as usize, job, task);
                     let live = &mut self.jobs[job as usize].live_attempts[task as usize];
                     *live = live.saturating_sub(1);
                 }
@@ -2498,37 +2449,13 @@ impl Engine {
     /// namenode's map, and the under-replicated blocks queued for repair.
     fn on_declare_dead(&mut self, node: u32, epoch: u32) {
         let ni = node as usize;
-        if !self.crashed[ni] || self.declared[ni] || self.node_epoch[ni] != epoch {
+        if !self.nodes.crashed(ni) || self.nodes.declared(ni) || self.node_epoch[ni] != epoch {
             return; // rejoined before the timer fired, or already declared
         }
-        self.declared[ni] = true;
         self.stats.nodes_declared_dead += 1;
-        self.free_map_slots[ni] = 0;
-        self.free_reduce_slots[ni] = 0;
-        self.reduce_free_nodes.remove(&node);
-
         // The JobTracker re-queues everything that was running there.
-        let victims: Vec<(u32, u32)> = std::mem::take(&mut self.running_on[ni]);
-        for (job, task) in victims {
-            // The dead node's own registration is already out of
-            // `running_on`, so `kill_attempt` can't see it: record the
-            // abort of this zombie here.
-            self.emit(TraceEvent::TaskAborted {
-                job,
-                task,
-                attempt: self.jobs[job as usize].attempts[task as usize],
-                node,
-            });
-            let js = &self.jobs[job as usize];
-            if js.failed || js.done[task as usize] {
-                // Committed elsewhere (a backup won) or the job is gone:
-                // drop the zombie registration without a retry.
-                let live = &mut self.jobs[job as usize].live_attempts[task as usize];
-                *live = live.saturating_sub(1);
-                continue;
-            }
-            self.abort_attempt(job, task, false);
-        }
+        let victims = self.nodes.declare_dead(ni);
+        self.abort_zombies(node, victims);
 
         // The namenode drops the node's replicas; re-replication is real,
         // prioritized work, not an instant fix-up.
@@ -2547,49 +2474,44 @@ impl Engine {
         self.pump_recovery();
     }
 
-    /// A transiently crashed node comes back: fresh epoch, full slots, a
-    /// block report reconciling its surviving replicas, and heartbeats
-    /// resume. Whatever ran there when it went down was lost.
-    fn on_node_rejoin(&mut self, node: u32) {
-        let ni = node as usize;
-        if !self.crashed[ni] {
-            return;
-        }
-        self.crashed[ni] = false;
-        self.declared[ni] = false;
-        self.node_epoch[ni] += 1;
-        self.stats.nodes_rejoined += 1;
-
-        // The tracker restarts the node's interrupted attempts elsewhere.
-        let zombies: Vec<(u32, u32)> = std::mem::take(&mut self.running_on[ni]);
+    /// Abort the map attempts a declared-dead or rejoining node held. Their
+    /// registrations are already out of `running_on`, so `abort_attempt`
+    /// can't see them: record each zombie's abort here. A task committed
+    /// elsewhere (a backup won) or of a failed job is dropped without a
+    /// retry.
+    fn abort_zombies(&mut self, node: u32, zombies: Vec<(u32, u32)>) {
         for (job, task) in zombies {
-            // As in `on_declare_dead`: this node's registration is already
-            // gone from `running_on`, so record the zombie's abort here.
             self.emit(TraceEvent::TaskAborted {
                 job,
                 task,
                 attempt: self.jobs[job as usize].attempts[task as usize],
                 node,
             });
-            let js = &self.jobs[job as usize];
+            let js = &mut self.jobs[job as usize];
             if js.failed || js.done[task as usize] {
-                let live = &mut self.jobs[job as usize].live_attempts[task as usize];
+                let live = &mut js.live_attempts[task as usize];
                 *live = live.saturating_sub(1);
-                continue;
+            } else {
+                self.abort_attempt(job, task, false);
             }
-            self.abort_attempt(job, task, false);
         }
-        self.free_map_slots[ni] = self.cfg.profile.map_slots_per_node;
-        self.free_reduce_slots[ni] = self
-            .cfg
-            .profile
-            .reduce_slots_per_node
-            .saturating_sub(self.running_reduces[ni]);
-        if self.free_reduce_slots[ni] > 0 {
-            self.reduce_free_nodes.insert(node);
-        } else {
-            self.reduce_free_nodes.remove(&node);
+    }
+
+    /// A transiently crashed node comes back: fresh epoch, full slots, a
+    /// block report reconciling its surviving replicas, and heartbeats
+    /// resume. Whatever ran there when it went down was lost.
+    fn on_node_rejoin(&mut self, node: u32) {
+        let ni = node as usize;
+        if !self.nodes.crashed(ni) {
+            return;
         }
+        self.node_epoch[ni] += 1;
+        self.stats.nodes_rejoined += 1;
+
+        // The tracker restarts the node's interrupted attempts elsewhere.
+        let zombies = self.nodes.rejoin(ni);
+        self.abort_zombies(node, zombies);
+        self.nodes.restore_slots(ni);
 
         // Block report: surviving replicas the namenode dropped at
         // declaration become visible again, and may satisfy queued
@@ -2665,20 +2587,12 @@ impl Engine {
                     attempt: aborted,
                     node: f.node,
                 });
-                self.running_on[f.node as usize].retain(|&(j, t)| !(j == job && t == task));
-                if self.node_up(f.node as usize) {
-                    self.free_map_slots[f.node as usize] += 1;
-                }
+                self.nodes.release_map(f.node as usize, job, task);
             }
         }
         // Attempts in their read/compute phase: clear every registry entry.
-        for n in 0..self.running_on.len() {
-            let before = self.running_on[n].len();
-            self.running_on[n].retain(|&(j, t)| !(j == job && t == task));
-            let removed = before - self.running_on[n].len();
-            if removed > 0 && self.node_up(n) {
-                self.free_map_slots[n] += removed as u32;
-            }
+        for n in 0..self.nodes.len() {
+            let removed = self.nodes.release_map(n, job, task);
             for _ in 0..removed {
                 self.emit(TraceEvent::TaskAborted {
                     job,
@@ -2811,7 +2725,7 @@ impl Engine {
     /// pass runs, task reads on the node share the remaining bandwidth.
     fn on_scrub_start(&mut self, node: u32, epoch: u32) {
         let ni = node as usize;
-        if epoch != self.node_epoch[ni] || !self.node_up(ni) {
+        if epoch != self.node_epoch[ni] || !self.nodes.up(ni) {
             return; // chain superseded by a crash (rejoin restarts it)
         }
         let Some(sc) = self.cfg.scanner else { return };
@@ -2839,7 +2753,7 @@ impl Engine {
     /// touched. The next pass starts after the configured idle period.
     fn on_scrub_done(&mut self, node: u32, epoch: u32, pass_bytes: u64) {
         let ni = node as usize;
-        if epoch != self.node_epoch[ni] || !self.node_up(ni) {
+        if epoch != self.node_epoch[ni] || !self.nodes.up(ni) {
             return; // the node crashed mid-pass
         }
         self.scrubbing[ni] = false;
@@ -2924,10 +2838,11 @@ impl Engine {
         if self.lost_blocks.contains(&b.0) {
             return;
         }
-        let n = self.crashed.len();
+        let n = self.nodes.len();
         let any_copy = (0..n).any(|i| self.dfs.is_physically_present(NodeId(i as u32), b));
         if !any_copy {
             self.lost_blocks.insert(b.0);
+            self.inv_scope.lost.push(b.0 as u32);
             match cause {
                 LossCause::Crash => self.stats.blocks_lost += 1,
                 LossCause::Corruption => self.stats.blocks_lost_corruption += 1,
@@ -2977,7 +2892,7 @@ impl Engine {
             let srcs: Vec<NodeId> = visible
                 .iter()
                 .copied()
-                .filter(|s| self.node_up(s.idx()))
+                .filter(|s| self.nodes.up(s.idx()))
                 .collect();
             if srcs.is_empty() {
                 // No live source right now. The block is re-enqueued by
@@ -2985,10 +2900,10 @@ impl Engine {
                 // lost when the last holder's disk turns out to be gone.
                 continue;
             }
-            let n = self.crashed.len() as u32;
+            let n = self.nodes.len() as u32;
             let dsts: Vec<NodeId> = (0..n)
                 .filter(|&i| {
-                    self.node_up(i as usize)
+                    self.nodes.up(i as usize)
                         && !self.dfs.is_physically_present(NodeId(i), b)
                         && !self
                             .recovery_flows
@@ -3031,7 +2946,7 @@ impl Engine {
     /// it visible to the scheduler, and keep pumping.
     fn on_recovery_done(&mut self, rx: RecoveryXfer) {
         let b = rx.block;
-        if !self.node_up(rx.dst as usize)
+        if !self.nodes.up(rx.dst as usize)
             || self.dfs.is_physically_present(NodeId(rx.dst), b)
             || self.lost_blocks.contains(&b.0)
         {
@@ -3085,145 +3000,6 @@ impl Engine {
         }
         self.note_block_under_replicated(b); // still short? go again
         self.pump_recovery();
-    }
-
-    /// Structural invariants, checked after every event when
-    /// `SimConfig::check_invariants` is set. Every check is a named entry
-    /// of the shared [`dare_simcore::check::InvariantId`] catalog, so the
-    /// engine's per-event checks, the property suites, and the bounded
-    /// model checker all report violations under the same names.
-    ///
-    /// Kept out of line: inlined into `step`, its only caller, it made
-    /// invariant-armed runs about 15% slower (perfbench `chaos-dare` on a
-    /// 2-core x86-64 host).
-    #[inline(never)]
-    fn check_invariants(&self) -> Result<(), crate::SimError> {
-        use dare_simcore::check::InvariantId as Inv;
-        let mut inv = dare_simcore::check::Invariants::new();
-        let slots = self.cfg.profile.map_slots_per_node;
-        let rslots = self.cfg.profile.reduce_slots_per_node;
-        for i in 0..self.crashed.len() {
-            if self.node_up(i) {
-                inv.check_id(
-                    Inv::SlotConservation,
-                    self.free_map_slots[i] + self.running_on[i].len() as u32 == slots,
-                    || {
-                        format!(
-                            "node {i}: map slots drifted ({} free + {} running != {slots})",
-                            self.free_map_slots[i],
-                            self.running_on[i].len()
-                        )
-                    },
-                );
-                inv.check_id(
-                    Inv::SlotConservation,
-                    self.free_reduce_slots[i] + self.running_reduces[i] == rslots,
-                    || {
-                        format!(
-                            "node {i}: reduce slots drifted ({} free + {} running != {rslots})",
-                            self.free_reduce_slots[i], self.running_reduces[i]
-                        )
-                    },
-                );
-            } else if self.declared[i] {
-                inv.check_id(Inv::DeclaredImpliesCrashed, self.crashed[i], || {
-                    format!("node {i} declared dead while running")
-                });
-                inv.check_id(
-                    Inv::DeclaredImpliesCrashed,
-                    self.free_map_slots[i] == 0 && self.free_reduce_slots[i] == 0,
-                    || format!("declared node {i} still advertises slots"),
-                );
-            }
-            inv.check_id(
-                Inv::SchedulerIndexSync,
-                (self.free_reduce_slots[i] > 0) == self.reduce_free_nodes.contains(&(i as u32)),
-                || {
-                    format!(
-                        "node {i}: reduce free-node index out of sync ({} free, indexed: {})",
-                        self.free_reduce_slots[i],
-                        self.reduce_free_nodes.contains(&(i as u32))
-                    )
-                },
-            );
-        }
-        inv.check_id(
-            Inv::RecoveryStreamCap,
-            self.recovery_flows.len() <= self.cfg.faults.max_recovery_streams,
-            || {
-                format!(
-                    "{} recovery streams exceed the cap of {}",
-                    self.recovery_flows.len(),
-                    self.cfg.faults.max_recovery_streams
-                )
-            },
-        );
-        // Need-driven repair: every in-flight recovery transfer started
-        // while its block was under-replicated. Sorted for a
-        // deterministic violation report.
-        let mut xfers: Vec<&RecoveryXfer> = self.recovery_flows.values().collect();
-        xfers.sort_unstable_by_key(|r| (r.block, r.dst));
-        for rx in xfers {
-            inv.check_id(
-                Inv::RereplicationConvergence,
-                rx.visible_at_start < self.cfg.dfs.replication_factor,
-                || {
-                    format!(
-                        "repair of block {} to node {} started at {} visible replicas (RF {})",
-                        rx.block.0, rx.dst, rx.visible_at_start, self.cfg.dfs.replication_factor
-                    )
-                },
-            );
-        }
-        for &b0 in &self.lost_blocks {
-            let b = BlockId(b0);
-            let copy = (0..self.crashed.len())
-                .any(|i| self.dfs.is_physically_present(NodeId(i as u32), b));
-            inv.check_id(Inv::LostBlocksUnrecoverable, !copy, || {
-                format!("block {b0} marked lost while a physical copy survives")
-            });
-        }
-        // Master/disk coherence on live nodes: every scheduler-visible
-        // location physically holds the block (a quarantined or evicted
-        // replica must vanish from both sides — no read can be routed to
-        // a node that cannot serve it). Crashed-but-undetected nodes are
-        // exempt: the master's view legitimately lags a silent failure.
-        // Primary locations are bounded by the replication target plus
-        // one per node-rejoin: a rejoining node re-registers primaries
-        // it still holds, and this model (unlike real HDFS) never
-        // deletes the over-replicated excess.
-        let rf = self.cfg.dfs.replication_factor as usize;
-        let primary_cap = rf + self.stats.nodes_rejoined as usize;
-        for i in 0..self.dfs.namenode().num_blocks() {
-            let b = BlockId(i as u64);
-            for &loc in self.dfs.visible_locations(b) {
-                if self.node_up(loc.idx()) {
-                    inv.check_id(
-                        Inv::QuarantineNoReads,
-                        self.dfs.is_physically_present(loc, b),
-                        || {
-                            format!(
-                                "block {} visible on live node {} with no physical replica",
-                                b.0, loc.0
-                            )
-                        },
-                    );
-                }
-            }
-            inv.check_id(
-                Inv::PrimaryWithinRf,
-                self.dfs.namenode().primary_locations(b).len() <= primary_cap,
-                || {
-                    format!(
-                        "block {} holds {} primary locations (RF {rf}, {} rejoin(s))",
-                        b.0,
-                        self.dfs.namenode().primary_locations(b).len(),
-                        self.stats.nodes_rejoined
-                    )
-                },
-            );
-        }
-        inv.into_result().map_err(crate::SimError::InvariantViolation)
     }
 
     /// End-of-run invariants: every job reached a terminal state with
@@ -3492,7 +3268,7 @@ mod tests {
 
     /// A small deterministic workload: `files` files of `blocks` blocks,
     /// `jobs` jobs hammering file 0 mostly (high skew).
-    fn tiny_workload(files: usize, blocks: u64, jobs: u32) -> Workload {
+    pub(super) fn tiny_workload(files: usize, blocks: u64, jobs: u32) -> Workload {
         let bs = 128 * MB;
         let file_specs: Vec<FileSpec> = (0..files)
             .map(|i| FileSpec {
@@ -4009,9 +3785,9 @@ mod tests {
             "heterogeneous disks must trigger backups"
         );
         // Slots never leak: every node ends with its full slot count.
-        for (i, &slots) in engine.free_map_slots.iter().enumerate() {
+        for i in 0..engine.nodes.len() {
             assert_eq!(
-                slots,
+                engine.nodes.free_map_slots(i),
                 engine.cfg.profile.map_slots_per_node,
                 "node {i} leaked slots"
             );
@@ -4687,7 +4463,7 @@ mod tests {
     /// Model-cluster engine for the step-control fault tests: a few
     /// nodes, RF 2, one serialized recovery stream, per-event invariant
     /// checks on — the same shape the bounded model checker drives.
-    fn stepped_engine(nodes: u32, blocks: u64, seed: u64) -> Engine {
+    pub(super) fn stepped_engine(nodes: u32, blocks: u64, seed: u64) -> Engine {
         let mut cfg = SimConfig::cct(PolicyKind::Vanilla, SchedulerKind::Fifo, seed);
         cfg.profile = dare_net::ClusterProfile::scale(nodes);
         cfg.dfs.replication_factor = 2;

@@ -37,6 +37,7 @@ pub mod error;
 pub mod faults;
 pub mod gantt;
 pub mod golden;
+mod nodes;
 pub mod result;
 pub mod scarlett;
 

@@ -94,7 +94,8 @@ impl Gen {
 /// One shared catalog serves three consumers: the engine's per-event
 /// checks, the property suites, and the bounded model checker — so a
 /// violation is reported under the same name no matter which harness
-/// caught it. Structural invariants hold after *every* dispatched event;
+/// caught it. Structural invariants hold after *every* dispatched event
+/// (the engine checks the blocks and nodes each event touched);
 /// terminal invariants hold once the simulation reaches quiescence;
 /// path invariants are judged over a whole execution by the checker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -115,6 +116,10 @@ pub enum InvariantId {
     PrimaryWithinRf,
     /// A quarantined replica is gone from both datanode and namenode.
     QuarantineNoReads,
+    /// No block lists one node as both a primary and a dynamic location.
+    DynamicDisjointPrimary,
+    /// A node's dynamic-replica bytes never exceed the replication budget.
+    DynamicWithinBudget,
     /// Every non-failed job finishes all its maps and reduces.
     TerminalCompleteness,
     /// Node-local + rack-local + remote map counts partition the maps.
@@ -125,7 +130,7 @@ pub enum InvariantId {
 
 impl InvariantId {
     /// Every invariant in the catalog, in a stable report order.
-    pub const ALL: [InvariantId; 11] = [
+    pub const ALL: [InvariantId; 13] = [
         InvariantId::SlotConservation,
         InvariantId::DeclaredImpliesCrashed,
         InvariantId::SchedulerIndexSync,
@@ -134,6 +139,8 @@ impl InvariantId {
         InvariantId::NoLossBelowRf,
         InvariantId::PrimaryWithinRf,
         InvariantId::QuarantineNoReads,
+        InvariantId::DynamicDisjointPrimary,
+        InvariantId::DynamicWithinBudget,
         InvariantId::TerminalCompleteness,
         InvariantId::LocalityPartition,
         InvariantId::RereplicationConvergence,
@@ -150,6 +157,8 @@ impl InvariantId {
             InvariantId::NoLossBelowRf => "no-loss-below-rf",
             InvariantId::PrimaryWithinRf => "primary-within-rf",
             InvariantId::QuarantineNoReads => "quarantine-no-reads",
+            InvariantId::DynamicDisjointPrimary => "dynamic-disjoint-primary",
+            InvariantId::DynamicWithinBudget => "dynamic-within-budget",
             InvariantId::TerminalCompleteness => "terminal-completeness",
             InvariantId::LocalityPartition => "locality-partition",
             InvariantId::RereplicationConvergence => "rereplication-convergence",
@@ -183,6 +192,13 @@ impl InvariantId {
             }
             InvariantId::QuarantineNoReads => {
                 "a quarantined replica is removed from datanode and namenode, so no read can hit it"
+            }
+            InvariantId::DynamicDisjointPrimary => {
+                "no block lists a node as both a primary and a dynamic location, so a dynamic \
+                 replica never counts toward RF"
+            }
+            InvariantId::DynamicWithinBudget => {
+                "a node's dynamic-replica bytes never exceed the per-node replication budget"
             }
             InvariantId::TerminalCompleteness => {
                 "every non-failed job completes all of its map and reduce tasks"
@@ -284,6 +300,49 @@ impl Invariants {
             }
             Err(msg)
         }
+    }
+}
+
+/// Ids touched since the last drain: the scope of an incremental
+/// invariant check. A bitset deduplicates marks and a list keeps a drain
+/// proportional to them, so memory is bounded by the id space. A fresh
+/// set asks for a full sweep (nothing has been checked yet), as does one
+/// after [`DirtySet::mark_all`]; marks are no-ops until that drain.
+#[derive(Debug, Clone, Default)]
+pub struct DirtySet {
+    bits: Vec<u64>,
+    ids: Vec<u32>,
+    /// Marks are tracked one by one; false asks for a full sweep.
+    tracking: bool,
+}
+
+impl DirtySet {
+    /// Record that `id` changed.
+    pub fn mark(&mut self, id: usize) {
+        let (w, bit) = (id / 64, 1u64 << (id % 64));
+        if !self.tracking || self.bits.get(w).is_some_and(|&x| x & bit != 0) {
+            return;
+        }
+        if w >= self.bits.len() {
+            self.bits.resize(w + 1, 0);
+        }
+        self.bits[w] |= bit;
+        self.ids.push(id as u32);
+    }
+
+    /// Record that anything may have changed.
+    pub fn mark_all(&mut self) {
+        self.tracking = false;
+    }
+
+    /// Move the marked ids, in marking order, to the end of `out`.
+    /// Returns true when a full sweep was requested instead.
+    pub fn drain_into(&mut self, out: &mut Vec<u32>) -> bool {
+        for &id in &self.ids {
+            self.bits[id as usize / 64] = 0;
+        }
+        out.append(&mut self.ids);
+        !std::mem::replace(&mut self.tracking, true)
     }
 }
 
@@ -402,6 +461,30 @@ mod tests {
         let mut inv = Invariants::new();
         inv.check_id(InvariantId::RecoveryStreamCap, false, || "5 > 4".into());
         assert_eq!(inv.violations(), &["[recovery-stream-cap] 5 > 4"]);
+    }
+
+    #[test]
+    fn dirty_set_dedups_marks_and_requests_sweeps() {
+        let mut d = DirtySet::default();
+        let mut out = Vec::new();
+        d.mark(3);
+        assert!(d.drain_into(&mut out), "nothing checked yet: sweep all");
+        assert!(out.is_empty());
+        for id in [70, 2, 70, 3] {
+            d.mark(id);
+        }
+        assert!(!d.drain_into(&mut out));
+        assert_eq!(out, [70, 2, 3]);
+        out.clear();
+        d.mark(2);
+        d.mark_all();
+        d.mark(5);
+        assert!(d.drain_into(&mut out));
+        assert_eq!(out, [2]);
+        out.clear();
+        d.mark(2);
+        assert!(!d.drain_into(&mut out));
+        assert_eq!(out, [2], "bits were reset by the drain");
     }
 
     #[test]

@@ -67,6 +67,7 @@ pub struct Profiler {
     events: [u64; 5],
     peak_slab: u64,
     peak_queue: u64,
+    invariant_checked: [u64; 2],
 }
 
 impl Profiler {
@@ -93,6 +94,12 @@ impl Profiler {
         self.peak_queue = self.peak_queue.max(len);
     }
 
+    /// Count the blocks and nodes one invariant check examined.
+    pub fn note_invariant_work(&mut self, blocks: u64, nodes: u64) {
+        self.invariant_checked[0] += blocks;
+        self.invariant_checked[1] += nodes;
+    }
+
     /// Seal into a report.
     pub fn finish(self) -> ProfileReport {
         ProfileReport {
@@ -100,6 +107,7 @@ impl Profiler {
             events: self.events,
             peak_slab_occupancy: self.peak_slab,
             peak_queue_len: self.peak_queue,
+            invariant_checked: self.invariant_checked,
         }
     }
 }
@@ -115,6 +123,8 @@ pub struct ProfileReport {
     pub peak_slab_occupancy: u64,
     /// High-water mark of the pending event-queue length.
     pub peak_queue_len: u64,
+    /// Blocks and nodes examined by structural invariant checks.
+    pub invariant_checked: [u64; 2],
 }
 
 impl ProfileReport {
@@ -138,6 +148,12 @@ impl ProfileReport {
         (self.total_events() as f64 / (wall as f64 / 1e9)) as u64
     }
 
+    /// Blocks and nodes examined by invariant checks per dispatched event.
+    pub fn invariant_work_per_event(&self) -> [f64; 2] {
+        let events = self.total_events().max(1) as f64;
+        self.invariant_checked.map(|n| n as f64 / events)
+    }
+
     /// Total wall nanoseconds across subsystems.
     pub fn total_wall_ns(&self) -> u64 {
         self.wall_ns.iter().sum()
@@ -149,8 +165,9 @@ impl ProfileReport {
     }
 
     /// Render the `BENCH_profile.json` report: one object with a schema
-    /// tag, the scenario label, end-to-end totals, and one entry per
-    /// subsystem (integer nanoseconds only).
+    /// tag, the scenario label, end-to-end totals, the invariant-check
+    /// work per dispatched event, and one entry per subsystem (integer
+    /// nanoseconds only).
     pub fn to_json(&self, scenario: &str) -> String {
         let mut s = String::from("{\n");
         s.push_str("  \"schema\": \"dare-profile-v1\",\n");
@@ -163,6 +180,9 @@ impl ProfileReport {
             self.peak_slab_occupancy
         ));
         s.push_str(&format!("  \"peak_queue_len\": {},\n", self.peak_queue_len));
+        let [blocks, nodes] = self.invariant_work_per_event();
+        s.push_str(&format!("  \"invariant_blocks_per_event\": {blocks:.3},\n"));
+        s.push_str(&format!("  \"invariant_nodes_per_event\": {nodes:.3},\n"));
         s.push_str("  \"subsystems\": [\n");
         for (i, sub) in Subsystem::ALL.iter().enumerate() {
             let (events, wall) = self.of(*sub);
@@ -190,8 +210,9 @@ impl ProfileReport {
                 events
             ));
         }
+        let [blocks, nodes] = self.invariant_work_per_event();
         format!(
-            "dispatch {:.1}ms: {}",
+            "dispatch {:.1}ms: {} | invariants/event: {blocks:.2} blocks {nodes:.2} nodes",
             self.total_wall_ns() as f64 / 1e6,
             parts.join(" ")
         )
@@ -199,8 +220,8 @@ impl ProfileReport {
 }
 
 /// Validate a `BENCH_profile.json` document: schema tag, scenario, totals,
-/// and all four subsystem entries with integer `events`/`wall_ns`/`mean_ns`
-/// fields. This is what the CI `telemetry-smoke` gate runs against the
+/// invariant-check work per event, and every subsystem entry with integer
+/// `events`/`wall_ns`/`mean_ns` fields. This is what the CI `telemetry-smoke` gate runs against the
 /// written file.
 pub fn validate_profile_json(s: &str) -> Result<(), String> {
     if !s.contains("\"schema\": \"dare-profile-v1\"") {
@@ -215,15 +236,21 @@ pub fn validate_profile_json(s: &str) -> Result<(), String> {
         "events_per_sec",
         "peak_slab_occupancy",
         "peak_queue_len",
+        "invariant_blocks_per_event",
+        "invariant_nodes_per_event",
     ] {
-        let int_after = |k: &str| -> Result<u64, String> {
-            let pat = format!("\"{k}\": ");
-            let at = s.find(&pat).ok_or_else(|| format!("missing {k:?}"))?;
-            let rest = &s[at + pat.len()..];
-            let digits: String = rest.chars().take_while(|c| c.is_ascii_digit()).collect();
-            digits.parse().map_err(|_| format!("non-integer {k:?}"))
+        let pat = format!("\"{key}\": ");
+        let at = s.find(&pat).ok_or_else(|| format!("missing {key:?}"))?;
+        let rest = &s[at + pat.len()..];
+        let num: String = rest.chars().take_while(|c| c.is_ascii_digit() || *c == '.').collect();
+        let ok = if key.ends_with("_per_event") {
+            num.parse::<f64>().is_ok()
+        } else {
+            num.parse::<u64>().is_ok()
         };
-        int_after(key)?;
+        if !ok {
+            return Err(format!("non-numeric {key:?}"));
+        }
     }
     for sub in Subsystem::ALL {
         let pat = format!("{{\"name\": \"{}\", \"events\": ", sub.name());
@@ -262,8 +289,10 @@ mod tests {
         p.record(Subsystem::Sched, Duration::from_nanos(100));
         p.record(Subsystem::Sched, Duration::from_nanos(50));
         p.record(Subsystem::Net, Duration::from_nanos(25));
+        p.note_invariant_work(6, 3);
         let r = p.finish();
         assert_eq!(r.total_events(), 3);
+        assert_eq!(r.invariant_work_per_event(), [2.0, 1.0]);
         assert_eq!(r.total_wall_ns(), 175);
         assert_eq!(r.of(Subsystem::Sched), (2, 150));
         assert_eq!(r.of(Subsystem::Fault), (0, 0));
@@ -271,7 +300,10 @@ mod tests {
         validate_profile_json(&json).expect("well-formed report");
         assert!(json.contains("\"scenario\": \"unit-test\""));
         assert!(json.contains("\"name\": \"fault\", \"events\": 0"));
+        assert!(json.contains("\"invariant_blocks_per_event\": 2.000"));
+        assert!(json.contains("\"invariant_nodes_per_event\": 1.000"));
         assert!(r.summary().contains("sched"));
+        assert!(r.summary().contains("2.00 blocks 1.00 nodes"), "{}", r.summary());
     }
 
     #[test]
@@ -286,5 +318,9 @@ mod tests {
             validate_profile_json(&good.replace("\"total_events\": 0", "\"total_events\": x"))
                 .is_err()
         );
+        let dropped = good.replace("invariant_nodes_per_event", "nodes");
+        assert!(validate_profile_json(&dropped).is_err());
+        let garbled = good.replace("_per_event\": 0.000", "_per_event\": -");
+        assert!(validate_profile_json(&garbled).is_err());
     }
 }
