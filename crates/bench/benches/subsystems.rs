@@ -124,17 +124,21 @@ fn flow_churn(r: &mut Runner) {
                     if dst == src {
                         dst = NodeId(((src.0 as usize + 1) % n) as u32);
                     }
-                    sim.start(t, src, dst, 16 * MB, i % 3 == 0);
+                    sim.start(t, src, dst, 16 * MB, i % 3 == 0, i);
                     if let Some((tc, _)) = sim.next_completion() {
                         if i % 4 == 0 {
                             t = tc;
-                            black_box(sim.collect_completed(t));
+                            for id in sim.collect_completed(t) {
+                                black_box(sim.take(id));
+                            }
                         }
                     }
                 }
                 while let Some((tc, _)) = sim.next_completion() {
                     t = tc;
-                    sim.collect_completed(t);
+                    for id in sim.collect_completed(t) {
+                        black_box(sim.take(id));
+                    }
                 }
                 black_box(sim.total_started())
             },

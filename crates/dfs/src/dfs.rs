@@ -406,44 +406,6 @@ impl Dfs {
         self.dirty_blocks.mark(b.idx());
     }
 
-    /// Gracefully decommission a node: every replica it holds is first
-    /// copied to another live node (dynamic replicas are simply dropped —
-    /// the policies re-create them on demand), then the node is emptied.
-    /// Unlike [`Dfs::fail_node`] no availability window is ever open.
-    /// Returns the number of primary replicas migrated.
-    pub fn decommission_node(
-        &mut self,
-        node: NodeId,
-        live: &[NodeId],
-        rng: &mut DetRng,
-    ) -> usize {
-        self.dirty_blocks.mark_all();
-        let blocks = self.dns[node.idx()].all_blocks();
-        let mut migrated = 0;
-        for b in blocks {
-            if self.dns[node.idx()].holds_dynamic(b) {
-                self.evict_dynamic(node, b);
-                continue;
-            }
-            // Primary replica: copy before removal.
-            let existing = self.nn.locations(b);
-            let candidates: Vec<NodeId> = live
-                .iter()
-                .copied()
-                .filter(|n| *n != node && !existing.contains(n))
-                .collect();
-            if candidates.is_empty() {
-                // Cluster too small to rehome this replica: it stays; the
-                // caller decides whether that blocks the decommission.
-                continue;
-            }
-            let target = candidates[rng.index(candidates.len())];
-            self.move_primary(b, node, target);
-            migrated += 1;
-        }
-        migrated
-    }
-
     /// Move the blocks and nodes changed since the last call to `blocks`
     /// and `nodes`. Returns true when a whole-node operation (or a fresh
     /// file system) asks for a full sweep instead. Checking only: the log
@@ -1060,42 +1022,6 @@ mod tests {
         dfs.add_replica(b, target);
         assert!(dfs.visible_locations(b).contains(&target));
         assert!(dfs.is_physically_present(target, b));
-    }
-
-    #[test]
-    fn decommission_rehomes_every_replica_without_availability_loss() {
-        let (mut dfs, mut rng) = small_dfs();
-        for i in 0..6 {
-            dfs.create_file(
-                SimTime::ZERO,
-                format!("f{i}"),
-                256 * MB,
-                Some(NodeId(1)),
-                &DefaultPlacement,
-                &mut rng,
-                false,
-            );
-        }
-        // Add a dynamic replica on node 1 too.
-        let b0 = dfs.namenode().file(crate::ids::FileId(0)).blocks[0];
-        let outsider = (0..10)
-            .map(NodeId)
-            .find(|&n| !dfs.is_physically_present(n, b0))
-            .expect("free node");
-        dfs.insert_dynamic(SimTime::ZERO, outsider, b0);
-
-        let live: Vec<NodeId> = (0..10).map(NodeId).filter(|n| *n != NodeId(1)).collect();
-        let migrated = dfs.decommission_node(NodeId(1), &live, &mut rng);
-        assert!(migrated >= 6, "writer-local primaries moved: {migrated}");
-        assert_eq!(dfs.datanode(NodeId(1)).primary_bytes(), 0);
-        assert_eq!(dfs.datanode(NodeId(1)).dynamic_bytes(), 0);
-        // Full replication maintained throughout.
-        for i in 0..dfs.namenode().num_blocks() {
-            let b = BlockId(i as u64);
-            let locs = dfs.visible_locations(b);
-            assert!(locs.len() >= 3, "block {b} under-replicated");
-            assert!(!locs.contains(&NodeId(1)));
-        }
     }
 
     #[test]

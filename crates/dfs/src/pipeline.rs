@@ -4,9 +4,10 @@
 //! rate along the chain; every cross-rack hop pays the fabric
 //! oversubscription tax.
 //!
-//! The MapReduce engine uses this to time reduce-output writes (each
-//! reducer commits its partition at the pipeline rate); it is also the
-//! timing model a future ingest-phase simulation would use.
+//! Standalone: nothing in the workspace calls it. The MapReduce engine
+//! times reduce-output writes with its own analytic formula
+//! (`reduce_duration`), not with this module; this is the timing model a
+//! future ingest-phase simulation would use.
 
 use dare_net::{NodeId, Topology};
 use dare_simcore::SimDuration;

@@ -14,11 +14,13 @@ use dare_sched::{
 };
 use dare_simcore::{DetRng, EventQueue, FxHashMap, FxHashSet, SimDuration, SimTime};
 use dare_telemetry::{JobPhase, JobSample, MetricId, MetricRegistry, NodeSample, Profiler, Subsystem, Telemetry};
-use dare_trace::{FlowCtx, FlowKind, Loc, TraceEvent, Tracer};
+use dare_trace::{Loc, TraceEvent, Tracer};
 use dare_workload::Workload;
 use invariants::InvariantScope;
+use net::{Fetch, Transfer};
 
 mod invariants;
+mod net;
 
 /// Borrow-based location lookup over the DFS's merged visible-location
 /// lists. `locations` returns the name node's maintained slice, so the
@@ -231,27 +233,15 @@ struct JobState {
     dedicated: SimDuration,
 }
 
-/// A remote input fetch in flight.
-#[derive(Debug, Clone, Copy)]
-struct Fetch {
-    node: u32,
-    src: u32,
-    job: u32,
-    task: u32,
-    attempt: u32,
-    /// The node's policy asked to keep the bytes as a dynamic replica.
-    replicate: bool,
-    /// Path latency to add before compute starts.
-    latency: SimDuration,
-}
-
 /// The MapReduce cluster simulator. Construct with [`Engine::new`], run
 /// with [`Engine::run`].
 pub struct Engine {
     cfg: SimConfig,
     workload_name: String,
     dfs: Dfs,
-    flows: FlowSim,
+    /// Every in-flight transfer — fetch, recovery or proactive push —
+    /// with what it is for. The only flow table.
+    flows: FlowSim<Transfer>,
     scheduler: Box<dyn Scheduler>,
     queue: JobQueue,
     policies: Vec<Box<dyn ReplicationPolicy>>,
@@ -265,15 +255,7 @@ pub struct Engine {
     pending_reduces: std::collections::VecDeque<(u32, SimDuration)>,
     active_local_reads: Vec<u32>,
     disk_caps_mbps: Vec<f64>,
-    fetches: FxHashMap<FlowId, Fetch>,
     next_netcheck: Option<SimTime>,
-    /// Flows cancelled while the current NetCheck completion batch is
-    /// being processed. A completion earlier in the batch can tear down
-    /// a flow drained into the *same* batch (job failure aborts a
-    /// sibling fetch, quarantine cancels a tainted repair); those fids
-    /// are excused from the orphan-flow check. Cleared per batch, always
-    /// empty between events.
-    batch_cancelled: Vec<u64>,
     jitter_rng: DetRng,
     fetch_rng: DetRng,
     rtt_rng: DetRng,
@@ -294,7 +276,6 @@ pub struct Engine {
     /// Bytes of in-flight proactive transfers per node (budget reservation).
     inflight_proactive: Vec<u64>,
     scarlett: Option<ScarlettState>,
-    proactive_flows: FxHashMap<FlowId, ProactiveTransfer>,
     /// Per-node liveness epoch, bumped on every crash and rejoin so
     /// in-flight heartbeat chains and death timers go stale.
     node_epoch: Vec<u32>,
@@ -304,9 +285,6 @@ pub struct Engine {
     /// Blocks currently in `recovery_q` (dedup; point lookups only).
     recovery_queued: FxHashSet<u64>,
     recovery_seq: u64,
-    /// Re-replication transfers in flight, bounded by
-    /// `FaultPlan::max_recovery_streams`.
-    recovery_flows: FxHashMap<FlowId, RecoveryXfer>,
     recovery_rng: DetRng,
     /// Blocks whose every physical copy is gone (point lookups only).
     lost_blocks: FxHashSet<u64>,
@@ -824,9 +802,7 @@ impl Engine {
             pending_reduces: std::collections::VecDeque::new(),
             active_local_reads: vec![0; n],
             disk_caps_mbps,
-            fetches: FxHashMap::default(),
             next_netcheck: None,
-            batch_cancelled: Vec::new(),
             jitter_rng: root.substream("task-jitter"),
             fetch_rng: root.substream("fetch-pick"),
             rtt_rng: root.substream("rtt"),
@@ -841,12 +817,10 @@ impl Engine {
             budget_bytes,
             inflight_proactive: vec![0; n],
             scarlett,
-            proactive_flows: FxHashMap::default(),
             node_epoch: vec![0; n],
             recovery_q: std::collections::BTreeSet::new(),
             recovery_queued: FxHashSet::default(),
             recovery_seq: 0,
-            recovery_flows: FxHashMap::default(),
             recovery_rng: root.substream("recovery"),
             lost_blocks: FxHashSet::default(),
             stats: dare_metrics::FaultStats::default(),
@@ -915,7 +889,7 @@ impl Engine {
     }
 
     /// Run to completion, reporting engine-level faults (a stalled event
-    /// queue, an orphaned flow, a violated invariant) as a structured
+    /// queue, a violated invariant) as a structured
     /// [`crate::SimError`] rather than panicking. A loop over
     /// [`Engine::step`], so the run ends at the one stop rule,
     /// [`Engine::is_quiescent`]. Calling it on an engine already stepped
@@ -1104,7 +1078,7 @@ impl Engine {
 
     /// Blocks queued for re-replication plus transfers in flight.
     pub fn recovery_backlog(&self) -> usize {
-        self.recovery_q.len() + self.recovery_flows.len()
+        self.recovery_q.len() + self.recovery_streams()
     }
 
     /// Blocks whose every physical copy is gone.
@@ -1208,8 +1182,8 @@ impl Engine {
             mix(&mut h, b);
         }
         let mut rec: Vec<(u64, u32, u32, u32, u64)> = self
-            .recovery_flows
-            .iter()
+            .select_flows(Transfer::recovery)
+            .into_iter()
             .map(|(fid, rx)| (rx.block.0, rx.src, rx.dst, rx.visible_at_start, fid.0))
             .collect();
         rec.sort_unstable();
@@ -1234,42 +1208,18 @@ impl Engine {
             mix(&mut h, b);
             mix(&mut h, t);
         }
-        // (flow id, node, src, job, task, attempt, replicate flag, latency us)
-        type FetchFp = (u64, u32, u32, u32, u32, u32, u64, u64);
-        let mut fetches: Vec<FetchFp> = self
-            .fetches
-            .iter()
-            .map(|(fid, f)| {
-                (
-                    fid.0,
-                    f.node,
-                    f.src,
-                    f.job,
-                    f.task,
-                    f.attempt,
-                    f.replicate as u64,
-                    f.latency.as_micros(),
-                )
-            })
-            .collect();
-        fetches.sort_unstable();
-        for (fid, node, src, job, task, attempt, repl, lat) in fetches {
-            mix(&mut h, ((node as u64) << 32) | src as u64);
-            mix(&mut h, ((job as u64) << 32) | task as u64);
-            mix(&mut h, (attempt as u64) | repl << 32);
-            mix(&mut h, lat);
-            self.mix_flow(&mut h, FlowId(fid), ago);
+        // Fetches, then proactive pushes, each in flow-id order.
+        for (fid, f) in self.select_flows(Transfer::fetch) {
+            mix(&mut h, ((f.node as u64) << 32) | f.src as u64);
+            mix(&mut h, ((f.job as u64) << 32) | f.task as u64);
+            mix(&mut h, (f.attempt as u64) | (f.replicate as u64) << 32);
+            mix(&mut h, f.latency.as_micros());
+            self.mix_flow(&mut h, fid, ago);
         }
-        let mut pro: Vec<(u64, u64, u32, u32)> = self
-            .proactive_flows
-            .iter()
-            .map(|(fid, p)| (fid.0, p.block.0, p.src, p.dst))
-            .collect();
-        pro.sort_unstable();
-        for (fid, b, s, d) in pro {
-            mix(&mut h, b);
-            mix(&mut h, ((s as u64) << 32) | d as u64);
-            self.mix_flow(&mut h, FlowId(fid), ago);
+        for (fid, p) in self.select_flows(Transfer::proactive) {
+            mix(&mut h, p.block.0);
+            mix(&mut h, ((p.src as u64) << 32) | p.dst as u64);
+            self.mix_flow(&mut h, fid, ago);
         }
         // Pending event queue, canonical order, times relative to now;
         // seq rank (not raw seq) keeps same-time FIFO order visible.
@@ -1445,9 +1395,12 @@ impl Engine {
         reg.set_int(ids.under_replicated, self.recovery_q.len() as u64);
         reg.set_int(ids.lost_blocks, self.lost_blocks.len() as u64);
         reg.set_int(ids.active_flows, self.flows.active() as u64);
-        reg.set_int(ids.fetch_flows, self.fetches.len() as u64);
-        reg.set_int(ids.recovery_flows, self.recovery_flows.len() as u64);
-        reg.set_int(ids.proactive_flows, self.proactive_flows.len() as u64);
+        let count = |pick: fn(&Transfer) -> bool| {
+            self.flows.iter().filter(|(_, t)| pick(t)).count() as u64
+        };
+        reg.set_int(ids.fetch_flows, count(|t| t.fetch().is_some()));
+        reg.set_int(ids.recovery_flows, self.recovery_streams() as u64);
+        reg.set_int(ids.proactive_flows, count(|t| t.proactive().is_some()));
         let d = self.stats.delta(&telem.prev_faults);
         telem.prev_faults = self.stats;
         reg.set_int(ids.d_nodes_declared_dead, d.nodes_declared_dead);
@@ -1508,7 +1461,7 @@ impl Engine {
                 task,
                 attempt,
             } => self.on_local_read_done(node, job, task, attempt),
-            Ev::NetCheck => return self.on_net_check(),
+            Ev::NetCheck => self.on_net_check(),
             Ev::ComputeDone {
                 node,
                 job,
@@ -1769,10 +1722,11 @@ impl Engine {
                 } else {
                     // The victim's bytes are still in flight: the policy
                     // no longer counts them, so they must not land.
-                    let jobs = &self.jobs;
-                    for f in self.fetches.values_mut() {
-                        if f.node == node && jobs[f.job as usize].blocks[f.task as usize] == v {
-                            f.replicate = false;
+                    for t in self.flows.payloads_mut() {
+                        if let Transfer::Fetch(f) = t {
+                            if f.node == node && f.block == v {
+                                f.replicate = false;
+                            }
                         }
                     }
                 }
@@ -1843,33 +1797,20 @@ impl Engine {
                 self.abort_attempt(job, task, true);
                 return;
             };
-            let cross = self.dfs.topology().crosses_racks(src, node_id);
             let hops = self.dfs.topology().base_hops(src, node_id).max(1);
             let latency = SimDuration::from_secs_f64(
                 self.cfg.profile.rtt.sample_secs(&mut self.rtt_rng) * hops as f64 / 2.0,
             );
-            let fid = self.flows.start(self.now, src, node_id, bytes, cross);
-            self.emit(TraceEvent::FlowStarted {
-                flow: fid.0,
-                kind: FlowKind::Fetch,
+            self.start_flow(Transfer::Fetch(Fetch {
+                block,
+                node,
                 src: src.0,
-                dst: node,
-                bytes,
-                cross_rack: cross,
-                ctx: FlowCtx::Fetch { job, task, attempt },
-            });
-            self.fetches.insert(
-                fid,
-                Fetch {
-                    node,
-                    src: src.0,
-                    job,
-                    task,
-                    attempt,
-                    replicate,
-                    latency,
-                },
-            );
+                job,
+                task,
+                attempt,
+                replicate,
+                latency,
+            }));
             self.remote_bytes_fetched += bytes;
             self.schedule_netcheck();
         }
@@ -1925,188 +1866,6 @@ impl Engine {
             .visible_locations(block)
             .iter()
             .any(|l| *l == reader || self.nodes.up(l.idx()))
-    }
-
-    /// Cancel a flow and record it for the current NetCheck batch (see
-    /// `batch_cancelled`). Every teardown of an in-flight flow must go
-    /// through here so the orphan-flow check can tell a legitimate
-    /// same-batch cancellation apart from bookkeeping drift.
-    fn cancel_flow(&mut self, fid: FlowId, kind: FlowKind) {
-        self.flows.cancel(self.now, fid);
-        self.batch_cancelled.push(fid.0);
-        self.emit(TraceEvent::FlowCancelled { flow: fid.0, kind });
-    }
-
-    fn schedule_netcheck(&mut self) {
-        if let Some((t, _)) = self.flows.next_completion() {
-            let t = t.max(self.now);
-            if self.next_netcheck.is_none_or(|cur| t < cur) {
-                self.events.push(t, Ev::NetCheck);
-                self.next_netcheck = Some(t);
-            }
-        }
-    }
-
-    fn on_net_check(&mut self) -> Result<(), crate::SimError> {
-        self.next_netcheck = None;
-        let done = self.flows.collect_completed(self.now);
-        self.batch_cancelled.clear();
-        // Start times index-aligned with `done`; only materialized when
-        // tracing (flow durations for `flow_finished` events).
-        let starts: Vec<SimTime> = if self.tracer.is_some() {
-            self.flows
-                .completed_starts()
-                .iter()
-                .map(|&(_, t)| t)
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let flow_dur =
-            |starts: &[SimTime], i: usize, now: SimTime| now.saturating_since(starts[i]).as_micros();
-        for (i, fid) in done.into_iter().enumerate() {
-            if let Some(pt) = self.proactive_flows.remove(&fid) {
-                if self.tracer.is_some() {
-                    let bytes = self.dfs.namenode().block_size(pt.block);
-                    self.emit(TraceEvent::FlowFinished {
-                        flow: fid.0,
-                        kind: FlowKind::Proactive,
-                        src: pt.src,
-                        dst: pt.dst,
-                        bytes,
-                        dur_us: flow_dur(&starts, i, self.now),
-                        ctx: FlowCtx::Block { block: pt.block.0 },
-                    });
-                }
-                self.on_proactive_done(pt);
-                continue;
-            }
-            if let Some(rx) = self.recovery_flows.remove(&fid) {
-                if self.tracer.is_some() {
-                    let bytes = self.dfs.namenode().block_size(rx.block);
-                    self.emit(TraceEvent::FlowFinished {
-                        flow: fid.0,
-                        kind: FlowKind::Recovery,
-                        src: rx.src,
-                        dst: rx.dst,
-                        bytes,
-                        dur_us: flow_dur(&starts, i, self.now),
-                        ctx: FlowCtx::Block { block: rx.block.0 },
-                    });
-                }
-                self.on_recovery_done(rx);
-                continue;
-            }
-            let Some(f) = self.fetches.remove(&fid) else {
-                // A completion earlier in this batch may have torn the
-                // flow down (job failure aborting a sibling fetch,
-                // quarantine cancelling a tainted repair): its record is
-                // gone but the fid was already drained into `done`. Only
-                // an untracked disappearance is bookkeeping drift.
-                if self.batch_cancelled.contains(&fid.0) {
-                    continue;
-                }
-                return Err(crate::SimError::OrphanFlow {
-                    now: self.now,
-                    flow: fid.0,
-                });
-            };
-            let js = &self.jobs[f.job as usize];
-            let block = js.blocks[f.task as usize];
-            if self.tracer.is_some() {
-                let bytes = self.dfs.namenode().block_size(block);
-                self.emit(TraceEvent::FlowFinished {
-                    flow: fid.0,
-                    kind: FlowKind::Fetch,
-                    src: f.src,
-                    dst: f.node,
-                    bytes,
-                    dur_us: flow_dur(&starts, i, self.now),
-                    ctx: FlowCtx::Fetch {
-                        job: f.job,
-                        task: f.task,
-                        attempt: f.attempt,
-                    },
-                });
-            }
-            // Read-path verification of the fetched bytes: a corrupt
-            // source replica fails the reader-side checksum when the
-            // stream completes. The source is quarantined and the attempt
-            // retries — its next launch picks a different source because
-            // quarantine removed this one from the visible set.
-            if self.dfs.is_replica_corrupt(NodeId(f.src), block) {
-                self.stats.checksum_failures += 1;
-                self.emit(TraceEvent::ChecksumFailed {
-                    node: f.src,
-                    block: block.0,
-                    job: f.job,
-                    task: f.task,
-                    attempt: f.attempt,
-                });
-                self.quarantine_and_repair(f.src, block);
-                if f.replicate {
-                    // The garbage bytes are never kept as a dynamic
-                    // replica; roll back the policy's bookkeeping.
-                    self.policies[f.node as usize].forget(block);
-                }
-                let ji = f.job as usize;
-                let current = self.jobs[ji].attempts[f.task as usize] == f.attempt;
-                if current && !self.jobs[ji].done[f.task as usize] && !self.jobs[ji].failed {
-                    self.abort_attempt(f.job, f.task, false);
-                } else {
-                    // Superseded (a backup or the original already
-                    // committed, or the attempt was aborted): release
-                    // this reader's registration if it still exists.
-                    let ri = f.node as usize;
-                    if self.nodes.release_first_map(ri, f.job, f.task) {
-                        self.emit(TraceEvent::TaskAborted {
-                            job: f.job,
-                            task: f.task,
-                            attempt: f.attempt,
-                            node: f.node,
-                        });
-                        let live = &mut self.jobs[ji].live_attempts[f.task as usize];
-                        *live = live.saturating_sub(1);
-                    }
-                }
-                continue;
-            }
-            if f.replicate {
-                // The bytes are here; keep them (DNA_DYNREPL). On failure
-                // (e.g. the block arrived by another path meanwhile) roll
-                // back the policy's bookkeeping.
-                if self.dfs.insert_dynamic(self.now, NodeId(f.node), block) {
-                    self.emit(TraceEvent::ReplicaCommitted {
-                        node: f.node,
-                        block: block.0,
-                    });
-                } else {
-                    self.policies[f.node as usize].forget(block);
-                }
-            }
-            if self.jobs[f.job as usize].attempts[f.task as usize] != f.attempt {
-                continue; // attempt aborted by a failure while fetching
-            }
-            self.emit(TraceEvent::TaskReadDone {
-                job: f.job,
-                task: f.task,
-                attempt: f.attempt,
-                node: f.node,
-            });
-            let compute = self.task_compute(f.job, f.node);
-            self.events.push(
-                self.now + f.latency + compute,
-                Ev::ComputeDone {
-                    node: f.node,
-                    job: f.job,
-                    task: f.task,
-                    attempt: f.attempt,
-                },
-            );
-        }
-        self.batch_cancelled.clear();
-        self.schedule_netcheck();
-        Ok(())
     }
 
     fn on_local_read_done(&mut self, node: u32, job: u32, task: u32, attempt: u32) {
@@ -2337,16 +2096,8 @@ impl Engine {
 
         // Fetches INTO the node die with it; the zombie attempts stay in
         // `running_on` until declaration, but stop consuming bandwidth.
-        let mut into: Vec<FlowId> = self
-            .fetches
-            .iter()
-            .filter(|(_, f)| f.node == node)
-            .map(|(&fid, _)| fid)
-            .collect();
-        into.sort_unstable(); // HashMap order is not deterministic
-        for fid in into {
-            self.fetches.remove(&fid);
-            self.cancel_flow(fid, FlowKind::Fetch);
+        for (fid, _) in self.select_flows(|t| t.fetch().filter(|f| f.node == node)) {
+            self.cancel_flow(fid);
         }
 
         // Fetches *sourced* from the node but running elsewhere: the
@@ -2354,21 +2105,15 @@ impl Engine {
         // abort and retry right away. A duplicate attempt of a task that
         // already committed (its backup or original won the race) is
         // wasted work — tear down just that fetch, no retry.
-        let mut broken: Vec<(FlowId, u32, u32, u32)> = self
-            .fetches
-            .iter()
-            .filter(|(_, f)| f.src == node)
-            .map(|(&fid, f)| (fid, f.job, f.task, f.node))
-            .collect();
-        broken.sort_unstable_by_key(|&(fid, job, task, _)| (job, task, fid));
-        for (fid, job, task, reader) in broken {
-            if !self.fetches.contains_key(&fid) {
+        let mut broken = self.select_flows(|t| t.fetch().filter(|f| f.src == node));
+        broken.sort_unstable_by_key(|&(fid, f)| (f.job, f.task, fid));
+        for (fid, Fetch { job, task, node: reader, .. }) in broken {
+            if !self.flows.contains(fid) {
                 continue; // torn down by an earlier abort of the same task
             }
             let js = &self.jobs[job as usize];
             if js.failed || js.done[task as usize] {
-                if self.fetches.remove(&fid).is_some() {
-                    self.cancel_flow(fid, FlowKind::Fetch);
+                if self.cancel_flow(fid).is_some() {
                     self.emit(TraceEvent::TaskAborted {
                         job,
                         task,
@@ -2386,36 +2131,20 @@ impl Engine {
 
         // Proactive pushes to the node are cancelled; the next epoch
         // reconciles.
-        let mut dead_pro: Vec<FlowId> = self
-            .proactive_flows
-            .iter()
-            .filter(|(_, t)| t.dst == node)
-            .map(|(&fid, _)| fid)
-            .collect();
-        dead_pro.sort_unstable();
-        for fid in dead_pro {
-            if let Some(t) = self.proactive_flows.remove(&fid) {
-                let bytes = self.dfs.namenode().block_size(t.block);
-                self.inflight_proactive[t.dst as usize] =
-                    self.inflight_proactive[t.dst as usize].saturating_sub(bytes);
-                self.cancel_flow(fid, FlowKind::Proactive);
-            }
+        for (fid, t) in self.select_flows(|t| t.proactive().filter(|p| p.dst == node)) {
+            let bytes = self.dfs.namenode().block_size(t.block);
+            self.inflight_proactive[t.dst as usize] =
+                self.inflight_proactive[t.dst as usize].saturating_sub(bytes);
+            self.cancel_flow(fid);
         }
 
         // Recovery transfers touching the node are cancelled and their
         // blocks put back in the queue.
-        let mut rec: Vec<FlowId> = self
-            .recovery_flows
-            .iter()
-            .filter(|(_, r)| r.src == node || r.dst == node)
-            .map(|(&fid, _)| fid)
-            .collect();
-        rec.sort_unstable(); // repair-queue seq numbers depend on this order
-        for fid in rec {
-            if let Some(r) = self.recovery_flows.remove(&fid) {
-                self.cancel_flow(fid, FlowKind::Recovery);
-                self.note_block_under_replicated(r.block);
-            }
+        // Repair-queue seq numbers depend on the (ascending-id) order.
+        let touching = |t: &Transfer| t.recovery().filter(|r| r.src == node || r.dst == node);
+        for (fid, r) in self.select_flows(touching) {
+            self.cancel_flow(fid);
+            self.note_block_under_replicated(r.block);
         }
 
         if permanent {
@@ -2571,24 +2300,16 @@ impl Engine {
 
         // Cancel every in-flight fetch of this task (the original and any
         // speculative duplicate), refunding surviving runners' slots.
-        let mut fetch_fids: Vec<FlowId> = self
-            .fetches
-            .iter()
-            .filter(|(_, f)| f.job == job && f.task == task)
-            .map(|(&fid, _)| fid)
-            .collect();
-        fetch_fids.sort_unstable(); // HashMap order is not deterministic
-        for fid in fetch_fids {
-            if let Some(f) = self.fetches.remove(&fid) {
-                self.cancel_flow(fid, FlowKind::Fetch);
-                self.emit(TraceEvent::TaskAborted {
-                    job,
-                    task,
-                    attempt: aborted,
-                    node: f.node,
-                });
-                self.nodes.release_map(f.node as usize, job, task);
-            }
+        let of_task = |t: &Transfer| t.fetch().filter(|f| f.job == job && f.task == task);
+        for (fid, f) in self.select_flows(of_task) {
+            self.cancel_flow(fid);
+            self.emit(TraceEvent::TaskAborted {
+                job,
+                task,
+                attempt: aborted,
+                node: f.node,
+            });
+            self.nodes.release_map(f.node as usize, job, task);
         }
         // Attempts in their read/compute phase: clear every registry entry.
         for n in 0..self.nodes.len() {
@@ -2802,17 +2523,9 @@ impl Engine {
         // cancelled rather than committed — found by the model checker
         // as a lost-blocks-unrecoverable violation: the tainted arrival
         // used to resurrect a block already declared lost.
-        let mut tainted: Vec<FlowId> = self
-            .recovery_flows
-            .iter()
-            .filter(|(_, r)| r.src == node && r.block == b)
-            .map(|(&fid, _)| fid)
-            .collect();
-        tainted.sort_unstable();
-        for fid in tainted {
-            if self.recovery_flows.remove(&fid).is_some() {
-                self.cancel_flow(fid, FlowKind::Recovery);
-            }
+        let tainted = |t: &Transfer| t.recovery().filter(|r| r.src == node && r.block == b);
+        for (fid, _) in self.select_flows(tainted) {
+            self.cancel_flow(fid);
         }
         if dynamic {
             // Eviction accounting: the policy forgets the replica so its
@@ -2873,7 +2586,7 @@ impl Engine {
     /// fetches, so repair traffic contends with job I/O by construction.
     fn pump_recovery(&mut self) {
         let cap = self.cfg.faults.max_recovery_streams;
-        while self.recovery_flows.len() < cap {
+        while self.recovery_streams() < cap {
             let Some((_, _, b0)) = self.recovery_q.pop_first() else {
                 break;
             };
@@ -2900,15 +2613,18 @@ impl Engine {
                 // lost when the last holder's disk turns out to be gone.
                 continue;
             }
+            // Nodes already receiving a repair of this block.
+            let inbound: Vec<u32> = self
+                .flows
+                .iter()
+                .filter_map(|(_, t)| t.recovery().filter(|r| r.block == b).map(|r| r.dst))
+                .collect();
             let n = self.nodes.len() as u32;
             let dsts: Vec<NodeId> = (0..n)
                 .filter(|&i| {
                     self.nodes.up(i as usize)
                         && !self.dfs.is_physically_present(NodeId(i), b)
-                        && !self
-                            .recovery_flows
-                            .values()
-                            .any(|r| r.block == b && r.dst == i)
+                        && !inbound.contains(&i)
                 })
                 .map(NodeId)
                 .collect();
@@ -2917,27 +2633,12 @@ impl Engine {
             }
             let src = srcs[self.recovery_rng.index(srcs.len())];
             let dst = dsts[self.recovery_rng.index(dsts.len())];
-            let bytes = self.dfs.namenode().block_size(b);
-            let cross = self.dfs.topology().crosses_racks(src, dst);
-            let fid = self.flows.start(self.now, src, dst, bytes, cross);
-            self.emit(TraceEvent::FlowStarted {
-                flow: fid.0,
-                kind: FlowKind::Recovery,
+            self.start_flow(Transfer::Recovery(RecoveryXfer {
+                block: b,
                 src: src.0,
                 dst: dst.0,
-                bytes,
-                cross_rack: cross,
-                ctx: FlowCtx::Block { block: b.0 },
-            });
-            self.recovery_flows.insert(
-                fid,
-                RecoveryXfer {
-                    block: b,
-                    src: src.0,
-                    dst: dst.0,
-                    visible_at_start,
-                },
-            );
+                visible_at_start,
+            }));
         }
         self.schedule_netcheck();
     }
@@ -3069,9 +2770,9 @@ impl Engine {
             .filter(|&i| self.dfs.datanode(NodeId(i)).holds_dynamic(b))
             .collect();
         let inflight_for_block = self
-            .proactive_flows
-            .values()
-            .filter(|t| t.block == b)
+            .flows
+            .iter()
+            .filter(|(_, t)| t.proactive().is_some_and(|p| p.block == b))
             .count() as u32;
         let current = holders.len() as u32 + inflight_for_block;
 
@@ -3100,19 +2801,11 @@ impl Engine {
                 let Some(src) = self.pick_source(b, NodeId(dst)) else {
                     continue; // no live replica to push from right now
                 };
-                let cross = self.dfs.topology().crosses_racks(src, NodeId(dst));
-                let fid = self.flows.start(self.now, src, NodeId(dst), bytes, cross);
-                self.emit(TraceEvent::FlowStarted {
-                    flow: fid.0,
-                    kind: FlowKind::Proactive,
+                self.start_flow(Transfer::Proactive(ProactiveTransfer {
+                    block: b,
                     src: src.0,
                     dst,
-                    bytes,
-                    cross_rack: cross,
-                    ctx: FlowCtx::Block { block: b.0 },
-                });
-                self.proactive_flows
-                    .insert(fid, ProactiveTransfer { block: b, src: src.0, dst });
+                }));
                 self.inflight_proactive[dst as usize] += bytes;
                 sc.bytes_moved += bytes;
             }
@@ -3217,8 +2910,9 @@ impl Engine {
 /// NIC rate, reflecting the many-to-many shuffle), spends half a map's
 /// compute merging it, then commits its partition through an HDFS write
 /// pipeline whose steady-state rate is the min of mean disk and NIC rates
-/// (see `dare_dfs::pipeline`; the replication chain re-sends the bytes
-/// `replication - 1` times through NICs of that rate).
+/// (the replication chain re-sends the bytes `replication - 1` times
+/// through NICs of that rate). An analytic formula of its own: the
+/// per-node chain model in `dare_dfs::pipeline` is not used here.
 fn reduce_duration(
     output_bytes: u64,
     reduces: u32,

@@ -115,13 +115,14 @@ impl Engine {
     /// in-flight transfer started while its block was under RF; sorted
     /// for a deterministic report).
     fn check_recovery(&self, inv: &mut Invariants) {
-        let n = self.recovery_flows.len();
+        let mut xfers: Vec<RecoveryXfer> =
+            self.flows.iter().filter_map(|(_, t)| t.recovery()).collect();
+        let n = xfers.len();
         let cap = self.cfg.faults.max_recovery_streams;
         inv.check_id(Inv::RecoveryStreamCap, n <= cap, || {
             format!("{n} recovery streams exceed the cap of {cap}")
         });
         let rf = self.cfg.dfs.replication_factor;
-        let mut xfers: Vec<&RecoveryXfer> = self.recovery_flows.values().collect();
         xfers.sort_unstable_by_key(|r| (r.block, r.dst));
         for rx in xfers {
             inv.check_id(

@@ -9,6 +9,10 @@
 use dare_simcore::SimTime;
 
 /// A simulation that could not run to completion.
+///
+/// Flow bookkeeping has no failure mode to report: the engine's only
+/// flow table is the flow simulator itself, whose every flow carries
+/// what it is for, so a finished flow can never lack a record.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SimError {
     /// The event queue drained before every job finished — usually a
@@ -23,14 +27,6 @@ pub enum SimError {
         total: usize,
         /// Map tasks still queued when the simulation stalled.
         pending: usize,
-    },
-    /// A network flow completed that no subsystem (fetch, proactive
-    /// replication, recovery) had a record of.
-    OrphanFlow {
-        /// Simulation time of the completion.
-        now: SimTime,
-        /// The flow's identifier within the flow simulator.
-        flow: u64,
     },
     /// A runtime invariant check (enabled via
     /// `SimConfig::check_invariants`) failed.
@@ -49,11 +45,6 @@ impl std::fmt::Display for SimError {
                 f,
                 "event queue drained at t={:.1}s with {finished}/{total} jobs terminal \
                  ({pending} map tasks still pending)",
-                now.as_secs_f64()
-            ),
-            SimError::OrphanFlow { now, flow } => write!(
-                f,
-                "flow {flow} completed at t={:.1}s with no fetch/proactive/recovery record",
                 now.as_secs_f64()
             ),
             SimError::InvariantViolation(msg) => write!(f, "invariant violation: {msg}"),
@@ -78,11 +69,7 @@ mod tests {
         let s = e.to_string();
         assert!(s.contains("3/5"), "{s}");
         assert!(s.contains("12.0"), "{s}");
-        let o = SimError::OrphanFlow {
-            now: SimTime::from_secs(1),
-            flow: 99,
-        }
-        .to_string();
-        assert!(o.contains("99"), "{o}");
+        let v = SimError::InvariantViolation("slot-conservation".into()).to_string();
+        assert!(v.contains("slot-conservation"), "{v}");
     }
 }

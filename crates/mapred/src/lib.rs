@@ -14,7 +14,10 @@
 //! 4. **Reads**: node-local input is read from disk (capacity shared among
 //!    concurrent local readers); non-local input is fetched through the
 //!    [`dare_net::flow::FlowSim`] flow-level network model with
-//!    per-endpoint fair sharing and cross-rack oversubscription.
+//!    per-endpoint fair sharing and cross-rack oversubscription. The flow
+//!    simulator is the engine's one table of in-flight transfers: each
+//!    flow carries what it is for (a fetch, a re-replication, a
+//!    proactive push).
 //! 5. **DARE hook**: every scheduled map task is reported to the node's
 //!    [`dare_core::ReplicationPolicy`]; on a `Replicate` decision the
 //!    engine evicts the victims immediately (lazy deletion) and inserts the
@@ -65,9 +68,8 @@ pub fn run(cfg: SimConfig, workload: &dare_workload::Workload) -> SimResult {
     Engine::new(cfg, workload).run()
 }
 
-/// Like [`run`], but engine-level faults (a stalled event queue, an
-/// orphaned flow, a violated invariant) come back as a [`SimError`]
-/// instead of a panic.
+/// Like [`run`], but engine-level faults (a stalled event queue, a
+/// violated invariant) come back as a [`SimError`] instead of a panic.
 pub fn try_run(
     cfg: SimConfig,
     workload: &dare_workload::Workload,

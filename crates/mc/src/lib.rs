@@ -613,11 +613,13 @@ mod tests {
     /// in the same NetCheck batch; the first detects a corrupt source,
     /// the quarantine declares a block lost, the job fails, and failing
     /// the job aborts the sibling attempt — cancelling the second flow
-    /// while its fid is already drained into the batch. The engine used
-    /// to report that fid as an orphan flow (bookkeeping drift) instead
-    /// of a legitimate same-batch cancellation.
+    /// after it was already stopped into the batch. The flow table hands
+    /// each flow out once, so the sibling closes as cancelled and is
+    /// never also finished; the replayed trace shows every flow span
+    /// closing exactly once.
     #[test]
-    fn same_batch_cancellation_is_not_an_orphan_flow() {
+    fn same_batch_cancellation_closes_the_flow_once() {
+        use dare_trace::{FlowKind, TraceEvent};
         let cfg = McConfig {
             depth: 14,
             max_faults: 3,
@@ -633,6 +635,40 @@ mod tests {
         let wl = mc_workload(&cfg);
         let mut eng = replay(&cfg, &wl, &path).map_err(|b| b.1).expect("prefix is fault-free");
         close_path(&mut eng, tally(&path), cfg.rf).expect("closure hits no violation");
+        let trace = eng.take_trace().expect("the checker records traces");
+
+        let spans = dare_trace::query::flow_spans(&trace);
+        let mut closes: std::collections::BTreeMap<u64, (u32, u32)> =
+            spans.iter().map(|s| (s.flow, (0, 0))).collect();
+        for r in trace.records() {
+            match r.event {
+                TraceEvent::FlowFinished { flow, .. } => closes.get_mut(&flow).unwrap().0 += 1,
+                TraceEvent::FlowCancelled { flow, .. } => closes.get_mut(&flow).unwrap().1 += 1,
+                _ => {}
+            }
+        }
+        for s in &spans {
+            assert!(s.end.is_some(), "flow {} never closed", s.flow);
+            let (fin, can) = closes[&s.flow];
+            assert_eq!(fin + can, 1, "flow {} closed {fin}x finished, {can}x cancelled", s.flow);
+        }
+        // The race itself: a fetch cancelled at the instant a sibling
+        // fetch of the same batch finished on a corrupt source.
+        let checksum_at: Vec<_> = trace
+            .records()
+            .iter()
+            .filter(|r| matches!(r.event, TraceEvent::ChecksumFailed { .. }))
+            .map(|r| r.time)
+            .collect();
+        let raced: Vec<_> = spans
+            .iter()
+            .filter(|s| s.kind == FlowKind::Fetch && !s.finished)
+            .filter(|s| s.end.is_some_and(|t| checksum_at.contains(&t)))
+            .collect();
+        assert!(!raced.is_empty(), "the path no longer exercises the same-batch cancel");
+        for s in raced {
+            assert_eq!(closes[&s.flow], (0, 1), "flow {}: cancelled, never finished", s.flow);
+        }
     }
 
     /// Satellite regression: two explorations of the same bound must

@@ -15,13 +15,24 @@
 //! * rates are piecewise-constant between flow arrivals/departures; on each
 //!   change the simulator advances all residual byte counts and recomputes.
 //!
-//! The MapReduce engine drives this by scheduling a "network check" event at
+//! [`FlowSim<T>`] is the one table of in-flight transfers: every flow
+//! carries a caller payload `T` (what the transfer is *for*), so the
+//! MapReduce engine keeps no flow map of its own. A flow lives in one of
+//! two states. *Active* flows share bandwidth. [`FlowSim::collect_completed`]
+//! moves finished flows to *stopped*: they no longer share bandwidth, and
+//! each stays in the table until [`FlowSim::take`] hands its payload to the
+//! completion handler or [`FlowSim::cancel`] tears it down. Every payload
+//! leaves the table exactly once, so a handler that cancels a sibling
+//! stopped in the same batch makes the later `take` of that sibling return
+//! `None` — no side list of cancellations needed.
+//!
+//! The engine drives this by scheduling a "network check" event at
 //! [`FlowSim::next_completion`] and re-checking whenever flows start.
 
 use crate::topology::NodeId;
 use dare_simcore::{FxHashMap, SimTime, Slab, SlabKey};
 
-/// Identifier of an active flow.
+/// Identifier of a flow.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct FlowId(pub u64);
 
@@ -30,7 +41,7 @@ pub struct FlowId(pub u64);
 const EPSILON_BYTES: f64 = 1e-3;
 
 #[derive(Debug, Clone)]
-struct Flow {
+struct Flow<T> {
     id: u64,
     src: NodeId,
     dst: NodeId,
@@ -38,9 +49,10 @@ struct Flow {
     rate_bytes_per_sec: f64,
     cross_rack: bool,
     started: SimTime,
+    payload: T,
 }
 
-impl Flow {
+impl<T> Flow<T> {
     /// Finished, allowing for clock-resolution dust: anything the flow
     /// would move in under ~3 µs at its current rate counts as done.
     fn is_done(&self) -> bool {
@@ -49,7 +61,8 @@ impl Flow {
     }
 }
 
-/// The flow-level simulator. All bandwidth in MB/s, sizes in bytes.
+/// The flow-level simulator over payloads `T`. All bandwidth in MB/s,
+/// sizes in bytes.
 ///
 /// ```
 /// use dare_net::flow::FlowSim;
@@ -58,31 +71,34 @@ impl Flow {
 ///
 /// let mut sim = FlowSim::new(vec![100.0; 3], 1.0);
 /// // Two 100 MB fetches into the same receiver share its NIC:
-/// sim.start(SimTime::ZERO, NodeId(0), NodeId(2), 100 * MB, false);
-/// sim.start(SimTime::ZERO, NodeId(1), NodeId(2), 100 * MB, false);
+/// let a = sim.start(SimTime::ZERO, NodeId(0), NodeId(2), 100 * MB, false, "a");
+/// sim.start(SimTime::ZERO, NodeId(1), NodeId(2), 100 * MB, false, "b");
 /// let (t, _) = sim.next_completion().unwrap();
 /// assert!((t.as_secs_f64() - 2.0).abs() < 1e-3); // 50 MB/s each
+/// // Both finish together; each payload comes back once.
+/// assert_eq!(sim.collect_completed(t).len(), 2);
+/// assert_eq!(sim.take(a), Some((SimTime::ZERO, "a")));
+/// assert_eq!(sim.take(a), None);
 /// ```
 #[derive(Debug)]
-pub struct FlowSim {
+pub struct FlowSim<T> {
     /// Per-node NIC capacity, bytes/s (converted from MB/s at construction).
     nic_bytes_per_sec: Vec<f64>,
     /// Cross-rack flows see `capacity / oversub`.
     oversub: f64,
     /// Dense arena of active flows. The slab keeps flows contiguous so the
     /// per-event rate sweeps walk cache lines instead of hash buckets.
-    flows: Slab<Flow>,
+    flows: Slab<Flow<T>>,
     /// External id → slab slot. Ids stay sequential `u64`s because they
     /// appear in traces and must survive slot recycling.
     by_id: FxHashMap<u64, SlabKey>,
+    /// Stopped flows not yet taken or cancelled: `(id, start, payload)`.
+    /// Short-lived (drained by the completion handler of the same batch).
+    stopped: Vec<(u64, SimTime, T)>,
     next_id: u64,
     last_advance: SimTime,
     /// Flows ever started (diagnostics).
     total_started: u64,
-    /// `(id, start_time)` of the flows drained by the most recent
-    /// [`FlowSim::collect_completed`] call, in the same order as its
-    /// return value. Lets observers compute flow durations.
-    completed_starts: Vec<(FlowId, SimTime)>,
     /// Persistent per-node scratch for [`FlowSim::recompute_rates`]:
     /// zeroed endpoint-by-endpoint (O(active), not O(nodes)) so a rate
     /// recomputation allocates nothing and never sweeps idle nodes.
@@ -93,7 +109,7 @@ pub struct FlowSim {
     node_factor: Vec<f64>,
 }
 
-impl FlowSim {
+impl<T> FlowSim<T> {
     /// Build over per-node NIC capacities (MB/s) and a cross-rack
     /// oversubscription factor (`>= 1`).
     pub fn new(nic_capacity_mbps: Vec<f64>, oversub: f64) -> Self {
@@ -109,10 +125,10 @@ impl FlowSim {
             oversub,
             flows: Slab::new(),
             by_id: FxHashMap::default(),
+            stopped: Vec::new(),
             next_id: 0,
             last_advance: SimTime::ZERO,
             total_started: 0,
-            completed_starts: Vec::new(),
             tx_count: vec![0; n],
             rx_count: vec![0; n],
             node_factor: vec![1.0; n],
@@ -150,8 +166,9 @@ impl FlowSim {
         self.total_started
     }
 
-    /// Start a flow of `bytes` from `src` to `dst` at time `now`.
-    /// `cross_rack` flags whether the path pays the oversubscription tax.
+    /// Start a flow of `bytes` from `src` to `dst` at time `now`, carrying
+    /// `payload`. `cross_rack` flags whether the path pays the
+    /// oversubscription tax.
     pub fn start(
         &mut self,
         now: SimTime,
@@ -159,6 +176,7 @@ impl FlowSim {
         dst: NodeId,
         bytes: u64,
         cross_rack: bool,
+        payload: T,
     ) -> FlowId {
         assert!(src.idx() < self.nic_bytes_per_sec.len());
         assert!(dst.idx() < self.nic_bytes_per_sec.len());
@@ -174,6 +192,7 @@ impl FlowSim {
             rate_bytes_per_sec: 0.0,
             cross_rack,
             started: now,
+            payload,
         });
         self.by_id.insert(id, key);
         self.recompute_rates();
@@ -217,8 +236,9 @@ impl FlowSim {
             .min_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1)))
     }
 
-    /// Advance to `now` and drain every flow whose bytes are exhausted.
-    /// Returns the completed flow ids (deterministic ascending order).
+    /// Advance to `now` and stop every flow whose bytes are exhausted:
+    /// they leave the bandwidth pools and wait for [`FlowSim::take`].
+    /// Returns the stopped ids in ascending order.
     pub fn collect_completed(&mut self, now: SimTime) -> Vec<FlowId> {
         self.advance(now);
         let mut done: Vec<(u64, SlabKey)> = self
@@ -228,11 +248,10 @@ impl FlowSim {
             .map(|(key, f)| (f.id, key))
             .collect();
         done.sort_unstable_by_key(|&(id, _)| id);
-        self.completed_starts.clear();
         for &(id, key) in &done {
             if let Some(f) = self.flows.remove(key) {
                 self.by_id.remove(&id);
-                self.completed_starts.push((FlowId(id), f.started));
+                self.stopped.push((id, f.started, f.payload));
             }
         }
         if !done.is_empty() {
@@ -241,26 +260,52 @@ impl FlowSim {
         done.into_iter().map(|(id, _)| FlowId(id)).collect()
     }
 
-    /// Start times of the flows drained by the most recent
-    /// [`FlowSim::collect_completed`] call, index-aligned with its return
-    /// value. Cleared (not appended) on every call.
-    pub fn completed_starts(&self) -> &[(FlowId, SimTime)] {
-        &self.completed_starts
+    /// Remove a stopped flow, returning its start time and payload.
+    /// `None` if the flow is still active, was cancelled, or was already
+    /// taken.
+    pub fn take(&mut self, id: FlowId) -> Option<(SimTime, T)> {
+        let i = self.stopped.iter().position(|s| s.0 == id.0)?;
+        let (_, started, payload) = self.stopped.remove(i);
+        Some((started, payload))
+    }
+
+    /// Abort a flow (task killed / node failed), returning its payload:
+    /// an active flow leaves the bandwidth pools; a stopped flow not yet
+    /// taken is dropped before its completion is handled. `None` if the
+    /// flow already left the table.
+    pub fn cancel(&mut self, now: SimTime, id: FlowId) -> Option<T> {
+        self.advance(now);
+        if let Some(key) = self.by_id.remove(&id.0) {
+            let f = self.flows.remove(key)?;
+            self.recompute_rates();
+            return Some(f.payload);
+        }
+        self.take(id).map(|(_, payload)| payload)
+    }
+
+    /// True while `id` is in the table (active, or stopped and not yet
+    /// taken).
+    pub fn contains(&self, id: FlowId) -> bool {
+        self.by_id.contains_key(&id.0) || self.stopped.iter().any(|s| s.0 == id.0)
+    }
+
+    /// Every flow still in the table — active, then stopped — with its
+    /// payload. Slot order, not id order: callers that act on the result
+    /// sort it.
+    pub fn iter(&self) -> impl Iterator<Item = (FlowId, &T)> {
+        let active = self.flows.iter().map(|(_, f)| (FlowId(f.id), &f.payload));
+        active.chain(self.stopped.iter().map(|s| (FlowId(s.0), &s.2)))
+    }
+
+    /// Mutable payloads of every flow still in the table.
+    pub fn payloads_mut(&mut self) -> impl Iterator<Item = &mut T> {
+        let active = self.flows.iter_mut().map(|(_, f)| &mut f.payload);
+        active.chain(self.stopped.iter_mut().map(|s| &mut s.2))
     }
 
     /// Start time of a still-active flow.
     pub fn started_at(&self, id: FlowId) -> Option<SimTime> {
         self.lookup(id).map(|f| f.started)
-    }
-
-    /// Abort an active flow (task killed / node failed). No-op if already
-    /// completed.
-    pub fn cancel(&mut self, now: SimTime, id: FlowId) {
-        self.advance(now);
-        if let Some(key) = self.by_id.remove(&id.0) {
-            self.flows.remove(key);
-            self.recompute_rates();
-        }
     }
 
     /// Current rate of a flow in bytes/s (None if finished/unknown).
@@ -269,7 +314,7 @@ impl FlowSim {
     }
 
     #[inline]
-    fn lookup(&self, id: FlowId) -> Option<&Flow> {
+    fn lookup(&self, id: FlowId) -> Option<&Flow<T>> {
         self.by_id.get(&id.0).and_then(|&k| self.flows.get(k))
     }
 
@@ -340,16 +385,15 @@ impl FlowSim {
 mod tests {
     use super::*;
     use crate::MB;
-    
 
-    fn sim(nodes: usize, mbps: f64) -> FlowSim {
+    fn sim(nodes: usize, mbps: f64) -> FlowSim<()> {
         FlowSim::new(vec![mbps; nodes], 1.0)
     }
 
     #[test]
     fn lone_flow_runs_at_full_capacity() {
         let mut s = sim(2, 100.0);
-        let id = s.start(SimTime::ZERO, NodeId(0), NodeId(1), 100 * MB, false);
+        let id = s.start(SimTime::ZERO, NodeId(0), NodeId(1), 100 * MB, false, ());
         let (t, fid) = s.next_completion().expect("one active flow");
         assert_eq!(fid, id);
         assert!((t.as_secs_f64() - 1.0).abs() < 1e-5, "100MB @100MB/s = 1s");
@@ -361,8 +405,8 @@ mod tests {
     #[test]
     fn two_flows_into_one_destination_halve() {
         let mut s = sim(3, 100.0);
-        s.start(SimTime::ZERO, NodeId(0), NodeId(2), 100 * MB, false);
-        s.start(SimTime::ZERO, NodeId(1), NodeId(2), 100 * MB, false);
+        s.start(SimTime::ZERO, NodeId(0), NodeId(2), 100 * MB, false, ());
+        s.start(SimTime::ZERO, NodeId(1), NodeId(2), 100 * MB, false, ());
         let (t, _) = s.next_completion().expect("flows active");
         assert!((t.as_secs_f64() - 2.0).abs() < 1e-5, "rx shared => 2s");
     }
@@ -370,8 +414,8 @@ mod tests {
     #[test]
     fn two_flows_out_of_one_source_halve() {
         let mut s = sim(3, 100.0);
-        s.start(SimTime::ZERO, NodeId(0), NodeId(1), 100 * MB, false);
-        s.start(SimTime::ZERO, NodeId(0), NodeId(2), 100 * MB, false);
+        s.start(SimTime::ZERO, NodeId(0), NodeId(1), 100 * MB, false, ());
+        s.start(SimTime::ZERO, NodeId(0), NodeId(2), 100 * MB, false, ());
         let (t, _) = s.next_completion().expect("flows active");
         assert!((t.as_secs_f64() - 2.0).abs() < 1e-5, "tx shared => 2s");
     }
@@ -379,8 +423,8 @@ mod tests {
     #[test]
     fn full_duplex_tx_and_rx_do_not_interfere() {
         let mut s = sim(2, 100.0);
-        s.start(SimTime::ZERO, NodeId(0), NodeId(1), 100 * MB, false);
-        s.start(SimTime::ZERO, NodeId(1), NodeId(0), 100 * MB, false);
+        s.start(SimTime::ZERO, NodeId(0), NodeId(1), 100 * MB, false, ());
+        s.start(SimTime::ZERO, NodeId(1), NodeId(0), 100 * MB, false, ());
         let (t, _) = s.next_completion().expect("flows active");
         assert!(
             (t.as_secs_f64() - 1.0).abs() < 1e-5,
@@ -391,7 +435,7 @@ mod tests {
     #[test]
     fn cross_rack_pays_oversubscription() {
         let mut s = FlowSim::new(vec![100.0; 2], 2.5);
-        s.start(SimTime::ZERO, NodeId(0), NodeId(1), 100 * MB, true);
+        s.start(SimTime::ZERO, NodeId(0), NodeId(1), 100 * MB, true, ());
         let (t, _) = s.next_completion().expect("flow active");
         assert!((t.as_secs_f64() - 2.5).abs() < 1e-5);
     }
@@ -399,10 +443,10 @@ mod tests {
     #[test]
     fn late_joiner_slows_existing_flow() {
         let mut s = sim(3, 100.0);
-        let a = s.start(SimTime::ZERO, NodeId(0), NodeId(2), 100 * MB, false);
+        let a = s.start(SimTime::ZERO, NodeId(0), NodeId(2), 100 * MB, false, ());
         // After 0.5 s flow a has moved 50 MB. Then b joins at the same dst.
         let t1 = SimTime::from_secs_f64(0.5);
-        let _b = s.start(t1, NodeId(1), NodeId(2), 100 * MB, false);
+        let _b = s.start(t1, NodeId(1), NodeId(2), 100 * MB, false, ());
         // a now has 50 MB left at 50 MB/s => finishes at t = 1.5.
         let (t, fid) = s.next_completion().expect("flows active");
         assert_eq!(fid, a);
@@ -412,8 +456,8 @@ mod tests {
     #[test]
     fn departure_speeds_up_survivor() {
         let mut s = sim(3, 100.0);
-        let a = s.start(SimTime::ZERO, NodeId(0), NodeId(2), 50 * MB, false);
-        let b = s.start(SimTime::ZERO, NodeId(1), NodeId(2), 100 * MB, false);
+        let a = s.start(SimTime::ZERO, NodeId(0), NodeId(2), 50 * MB, false, ());
+        let b = s.start(SimTime::ZERO, NodeId(1), NodeId(2), 100 * MB, false, ());
         // Both at 50 MB/s. a finishes at t=1 with b holding 50 MB.
         let (t_a, fid) = s.next_completion().expect("flows active");
         assert_eq!(fid, a);
@@ -428,7 +472,7 @@ mod tests {
     #[test]
     fn heterogeneous_capacity_bottleneck_is_min_endpoint() {
         let mut s = FlowSim::new(vec![100.0, 20.0], 1.0);
-        s.start(SimTime::ZERO, NodeId(0), NodeId(1), 100 * MB, false);
+        s.start(SimTime::ZERO, NodeId(0), NodeId(1), 100 * MB, false, ());
         let (t, _) = s.next_completion().expect("flow active");
         assert!((t.as_secs_f64() - 5.0).abs() < 1e-5, "rx NIC of 20 MB/s");
     }
@@ -436,7 +480,7 @@ mod tests {
     #[test]
     fn zero_byte_flow_completes_immediately() {
         let mut s = sim(2, 100.0);
-        let id = s.start(SimTime::ZERO, NodeId(0), NodeId(1), 0, false);
+        let id = s.start(SimTime::ZERO, NodeId(0), NodeId(1), 0, false, ());
         let (t, fid) = s.next_completion().expect("flow active");
         assert_eq!((t, fid), (SimTime::ZERO, id));
         assert_eq!(s.collect_completed(SimTime::ZERO), vec![id]);
@@ -445,8 +489,8 @@ mod tests {
     #[test]
     fn cancel_removes_and_rebalances() {
         let mut s = sim(3, 100.0);
-        let a = s.start(SimTime::ZERO, NodeId(0), NodeId(2), 100 * MB, false);
-        let b = s.start(SimTime::ZERO, NodeId(1), NodeId(2), 100 * MB, false);
+        let a = s.start(SimTime::ZERO, NodeId(0), NodeId(2), 100 * MB, false, ());
+        let b = s.start(SimTime::ZERO, NodeId(1), NodeId(2), 100 * MB, false, ());
         s.cancel(SimTime::from_secs_f64(0.5), a);
         assert_eq!(s.active(), 1);
         // b moved 25 MB in the shared phase; 75 MB left at full rate.
@@ -461,7 +505,7 @@ mod tests {
     #[test]
     fn advance_is_idempotent_and_monotone() {
         let mut s = sim(2, 100.0);
-        let id = s.start(SimTime::ZERO, NodeId(0), NodeId(1), 100 * MB, false);
+        let id = s.start(SimTime::ZERO, NodeId(0), NodeId(1), 100 * MB, false, ());
         let t = SimTime::from_secs_f64(0.25);
         s.advance(t);
         s.advance(t); // no double-decrement
@@ -477,9 +521,9 @@ mod tests {
         // The engine may pop a completion event scheduled before a new flow
         // slowed everything down; collect_completed must return empty then.
         let mut s = sim(3, 100.0);
-        s.start(SimTime::ZERO, NodeId(0), NodeId(2), 100 * MB, false);
+        s.start(SimTime::ZERO, NodeId(0), NodeId(2), 100 * MB, false, ());
         let (t_pred, _) = s.next_completion().expect("flow active");
-        s.start(SimTime::from_secs_f64(0.5), NodeId(1), NodeId(2), 100 * MB, false);
+        s.start(SimTime::from_secs_f64(0.5), NodeId(1), NodeId(2), 100 * MB, false, ());
         let done = s.collect_completed(t_pred);
         assert!(done.is_empty(), "prediction went stale; nothing finished");
         let (t_new, _) = s.next_completion().expect("flows active");
@@ -493,7 +537,7 @@ mod tests {
         // over rx capacity.
         let mut s = sim(11, 100.0);
         for i in 0..10u32 {
-            s.start(SimTime::ZERO, NodeId(i), NodeId(10), 10 * MB, false);
+            s.start(SimTime::ZERO, NodeId(i), NodeId(10), 10 * MB, false, ());
         }
         let mut last = SimTime::ZERO;
         let mut completed = 0;
@@ -513,8 +557,8 @@ mod tests {
         assert_eq!(util, vec![(0.0, 0.0); 3], "idle fabric");
         // Two senders into node 2: each runs at half the rx NIC, so each
         // tx side sits at 0.5 and the rx side is saturated.
-        s.start(SimTime::ZERO, NodeId(0), NodeId(2), 100 * MB, false);
-        s.start(SimTime::ZERO, NodeId(1), NodeId(2), 100 * MB, false);
+        s.start(SimTime::ZERO, NodeId(0), NodeId(2), 100 * MB, false, ());
+        s.start(SimTime::ZERO, NodeId(1), NodeId(2), 100 * MB, false, ());
         s.nic_utilization_into(&mut util);
         assert!((util[0].0 - 0.5).abs() < 1e-9);
         assert!((util[1].0 - 0.5).abs() < 1e-9);
@@ -525,7 +569,7 @@ mod tests {
     #[test]
     fn node_factor_derates_and_restores_mid_flow() {
         let mut s = sim(2, 100.0);
-        let id = s.start(SimTime::ZERO, NodeId(0), NodeId(1), 100 * MB, false);
+        let id = s.start(SimTime::ZERO, NodeId(0), NodeId(1), 100 * MB, false, ());
         // 0.5 s at full rate moves 50 MB; then the receiver goes gray 4x.
         s.set_node_factor(SimTime::from_secs_f64(0.5), NodeId(1), 4.0);
         assert!((s.rate_of(id).unwrap() - 25.0 * MB as f64).abs() < 1.0);
@@ -541,8 +585,8 @@ mod tests {
     fn gray_source_bottlenecks_and_utilization_reads_effective() {
         let mut s = sim(3, 100.0);
         s.set_node_factor(SimTime::ZERO, NodeId(0), 2.0);
-        let a = s.start(SimTime::ZERO, NodeId(0), NodeId(2), 100 * MB, false);
-        let b = s.start(SimTime::ZERO, NodeId(1), NodeId(2), 100 * MB, false);
+        let a = s.start(SimTime::ZERO, NodeId(0), NodeId(2), 100 * MB, false, ());
+        let b = s.start(SimTime::ZERO, NodeId(1), NodeId(2), 100 * MB, false, ());
         // rx fair share is 50 each; the gray tx side only offers 50, so
         // both flows sit at 50 MB/s and the receiver stays saturated.
         assert!((s.rate_of(a).unwrap() - 50.0 * MB as f64).abs() < 1.0);
@@ -555,24 +599,29 @@ mod tests {
     }
 
     #[test]
-    fn completed_starts_align_with_completions() {
-        let mut s = sim(4, 100.0);
-        let a = s.start(SimTime::ZERO, NodeId(0), NodeId(3), 10 * MB, false);
+    fn take_returns_each_stopped_payload_once() {
+        let mut s: FlowSim<&str> = FlowSim::new(vec![100.0; 4], 1.0);
+        let a = s.start(SimTime::ZERO, NodeId(0), NodeId(3), 10 * MB, false, "a");
         let t1 = SimTime::from_secs_f64(0.05);
-        let b = s.start(t1, NodeId(1), NodeId(3), 10 * MB, false);
+        let b = s.start(t1, NodeId(1), NodeId(3), 10 * MB, false, "b");
+        let c = s.start(t1, NodeId(2), NodeId(1), 100 * MB, false, "c");
         assert_eq!(s.started_at(a), Some(SimTime::ZERO));
-        assert_eq!(s.started_at(b), Some(t1));
-        // Drain everything well past both completions.
-        let done = s.collect_completed(SimTime::from_secs(10));
+        assert_eq!(s.take(a), None, "an active flow is not taken");
+        // Stop a and b; c keeps running at the full NIC rate.
+        let done = s.collect_completed(SimTime::from_secs(1));
         assert_eq!(done, vec![a, b]);
-        assert_eq!(
-            s.completed_starts(),
-            &[(a, SimTime::ZERO), (b, t1)],
-            "starts index-aligned with the drained ids"
-        );
-        // Next drain clears the buffer.
-        assert!(s.collect_completed(SimTime::from_secs(11)).is_empty());
-        assert!(s.completed_starts().is_empty());
+        assert_eq!(s.active(), 1);
+        assert!(s.contains(a) && s.contains(b) && s.contains(c));
+        let mut held: Vec<_> = s.iter().map(|(id, &p)| (id, p)).collect();
+        held.sort_unstable();
+        assert_eq!(held, vec![(a, "a"), (b, "b"), (c, "c")]);
+        // A handler cancels the stopped sibling before its turn.
+        assert_eq!(s.cancel(SimTime::from_secs(1), b), Some("b"));
+        assert_eq!(s.take(a), Some((SimTime::ZERO, "a")));
+        assert_eq!(s.take(b), None, "cancelled before it was taken");
+        assert_eq!(s.take(a), None, "taken once");
+        assert!(!s.contains(a) && !s.contains(b));
         assert!(s.started_at(a).is_none());
+        assert!((s.rate_of(c).unwrap() - 100.0 * MB as f64).abs() < 1.0);
     }
 }

@@ -1,7 +1,8 @@
 //! Property-based flow-simulator tests: byte conservation, monotone
-//! completion times, and rate sanity under arbitrary start/drain schedules.
+//! completion times, rate sanity, and payload conservation under
+//! arbitrary start/cancel/drain schedules.
 
-use dare_net::flow::FlowSim;
+use dare_net::flow::{FlowId, FlowSim};
 use dare_net::{NodeId, MB};
 use dare_simcore::check::{run_cases, Gen};
 use dare_simcore::{SimDuration, SimTime};
@@ -37,7 +38,7 @@ fn all_flows_complete_in_monotone_order() {
         for s in &specs {
             now += SimDuration::from_millis(s.gap_ms);
             let dst = if s.src == s.dst { (s.dst + 1) % 6 } else { s.dst };
-            sim.start(now, NodeId(s.src), NodeId(dst), s.mb * MB, s.cross);
+            sim.start(now, NodeId(s.src), NodeId(dst), s.mb * MB, s.cross, ());
             started += 1;
             // Opportunistically drain anything already done.
             completed += sim.collect_completed(now).len() as u64;
@@ -69,7 +70,7 @@ fn rates_never_exceed_nic_capacity() {
         for s in &specs {
             now += SimDuration::from_millis(s.gap_ms);
             let dst = if s.src == s.dst { (s.dst + 1) % 4 } else { s.dst };
-            ids.push(sim.start(now, NodeId(s.src), NodeId(dst), s.mb * MB, false));
+            ids.push(sim.start(now, NodeId(s.src), NodeId(dst), s.mb * MB, false, ()));
             for &id in &ids {
                 if let Some(r) = sim.rate_of(id) {
                     assert!(r <= cap * (1.0 + 1e-9), "rate {r} exceeds NIC");
@@ -86,7 +87,7 @@ fn lone_flow_duration_is_exact() {
         let mb = g.u64_in(1..512);
         let cap = g.f64_in(10.0..200.0);
         let mut sim = FlowSim::new(vec![cap; 2], 1.0);
-        sim.start(SimTime::ZERO, NodeId(0), NodeId(1), mb * MB, false);
+        sim.start(SimTime::ZERO, NodeId(0), NodeId(1), mb * MB, false, ());
         let (t, _) = sim.next_completion().expect("one flow");
         let want = mb as f64 / cap;
         assert!(
@@ -109,7 +110,7 @@ fn cancel_is_always_safe() {
         for (i, s) in specs.iter().enumerate() {
             now += SimDuration::from_millis(s.gap_ms);
             let dst = if s.src == s.dst { (s.dst + 1) % 5 } else { s.dst };
-            let id = sim.start(now, NodeId(s.src), NodeId(dst), s.mb * MB, s.cross);
+            let id = sim.start(now, NodeId(s.src), NodeId(dst), s.mb * MB, s.cross, ());
             live.push(id);
             if *cancel_mask.get(i).unwrap_or(&false) {
                 if let Some(&victim) = live.first() {
@@ -126,5 +127,75 @@ fn cancel_is_always_safe() {
             assert!(guard < 10_000);
         }
         assert_eq!(sim.active(), 0);
+    });
+}
+
+#[test]
+fn every_payload_leaves_the_table_exactly_once() {
+    run_cases(128, 0xF10E_0005, |g| {
+        let nodes = 5u32;
+        let mut sim = FlowSim::new(vec![100.0; nodes as usize], 1.5);
+        let mut now = SimTime::ZERO;
+        // Payload `i` rides on `ids[i]`; `returned[i]` counts its exits.
+        let mut ids: Vec<FlowId> = Vec::new();
+        let mut returned: Vec<u32> = Vec::new();
+        // Stopped by `collect_completed`, not yet taken or cancelled.
+        let mut stopped: Vec<FlowId> = Vec::new();
+        let back = |returned: &mut Vec<u32>, ids: &[FlowId], id: FlowId, p: usize| {
+            assert_eq!(ids[p], id, "payload {p} came back on the wrong flow");
+            returned[p] += 1;
+        };
+        let ops = g.vec(1..120, |g| g.u32_in(0..10));
+        for op in ops {
+            match op {
+                0..=3 => {
+                    let src = g.u32_in(0..nodes);
+                    let dst = (src + g.u32_in(1..nodes)) % nodes;
+                    let mb = g.u64_in(0..32);
+                    let p = ids.len();
+                    ids.push(sim.start(now, NodeId(src), NodeId(dst), mb * MB, g.bool(0.3), p));
+                    returned.push(0);
+                }
+                4 | 5 if !ids.is_empty() => {
+                    // Any flow ever started: active, stopped, or gone.
+                    let id = *g.pick(&ids);
+                    if let Some(p) = sim.cancel(now, id) {
+                        back(&mut returned, &ids, id, p);
+                        stopped.retain(|&s| s != id);
+                    }
+                    assert_eq!(sim.take(id), None, "take after cancel");
+                    assert!(!sim.contains(id));
+                }
+                6 | 7 => {
+                    now += SimDuration::from_millis(g.u64_in(0..400));
+                    let done = sim.collect_completed(now);
+                    assert!(done.windows(2).all(|w| w[0] < w[1]), "ascending ids");
+                    stopped.extend(done);
+                }
+                8 | 9 if !stopped.is_empty() => {
+                    let i = g.usize_in(0..stopped.len());
+                    let id = stopped.swap_remove(i);
+                    let (started, p) = sim.take(id).expect("a stopped flow is taken once");
+                    assert!(started <= now);
+                    back(&mut returned, &ids, id, p);
+                    assert_eq!(sim.take(id), None, "taken twice");
+                }
+                _ => {}
+            }
+            assert_eq!(sim.iter().count(), sim.active() + stopped.len());
+        }
+        // Drain: finish every active flow, then take everything stopped.
+        let mut guard = 0;
+        while let Some((t, _)) = sim.next_completion() {
+            stopped.extend(sim.collect_completed(t));
+            guard += 1;
+            assert!(guard < 10_000, "drain did not converge");
+        }
+        for id in stopped {
+            let (_, p) = sim.take(id).expect("stopped flow still in the table");
+            back(&mut returned, &ids, id, p);
+        }
+        assert_eq!(sim.iter().count(), 0, "table empty after the drain");
+        assert!(returned.iter().all(|&n| n == 1), "each payload exactly once: {returned:?}");
     });
 }
