@@ -1,12 +1,12 @@
 //! Micro-benchmarks of the simulator substrates: scheduler slot-offer hot
-//! path, name-node location lookups and report processing, and flow-level
-//! network churn.
+//! path, name-node location lookups and report processing, block ingest
+//! at scale, and flow-level network churn.
 
 use dare_bench::microbench::{black_box, Runner};
 use dare_dfs::{BlockId, DefaultPlacement, Dfs, DfsConfig};
 use dare_mapred::DfsLookup;
 use dare_net::flow::FlowSim;
-use dare_net::{NodeId, Topology, MB};
+use dare_net::{ClusterProfile, NodeId, Topology, MB};
 use dare_sched::{
     FairScheduler, FifoScheduler, JobId, JobQueue, PendingTask, Scheduler, TaskId,
 };
@@ -109,6 +109,31 @@ fn namenode_ops(r: &mut Runner) {
     );
 }
 
+/// Ingest of one 1,000-block file into an empty file system on the
+/// 10,000-node multi-rack scale topology (250 racks). Default placement
+/// costs O(rack) per block, so an O(nodes) regression multiplies this
+/// number by the rack count.
+fn dfs_ingest(r: &mut Runner) {
+    let topo = ClusterProfile::scale(10_000).build_topology(&mut DetRng::new(1));
+    let mut rng = DetRng::new(2);
+    r.bench_batched(
+        "dfs/ingest/10k-nodes/1000-blocks",
+        || Dfs::new(DfsConfig::default(), topo.clone()),
+        |mut dfs| {
+            dfs.create_file(
+                SimTime::ZERO,
+                "ingest".into(),
+                1_000 * 128 * MB,
+                None,
+                &DefaultPlacement,
+                &mut rng,
+                false,
+            );
+            black_box(dfs.namenode().num_blocks())
+        },
+    );
+}
+
 fn flow_churn(r: &mut Runner) {
     for &nodes in &[20usize, 100] {
         r.bench_batched(
@@ -150,6 +175,7 @@ fn main() {
     let mut r = Runner::from_env();
     scheduler_pick(&mut r);
     namenode_ops(&mut r);
+    dfs_ingest(&mut r);
     flow_churn(&mut r);
     r.finish("subsystems");
 }

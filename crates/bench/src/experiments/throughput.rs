@@ -29,7 +29,10 @@
 //! both modes, so the quick-mode speedup is directly comparable to the
 //! committed full-mode report the regression gate reads. The full run
 //! additionally performs the headline and records its wall clock and
-//! events/sec.
+//! events/sec. It also gates the headline's setup (`Engine::new`: topology,
+//! ingest of the million blocks, job build): the run fails when
+//! `setup_secs` exceeds 10% of the headline's event-loop `wall_secs`, so
+//! setup has to stay scale-proportional rather than O(nodes) per block.
 
 use dare_core::PolicyKind;
 use dare_mapred::{SchedulerKind, SimConfig, SimResult};
@@ -44,6 +47,8 @@ const BLOCK: u64 = 128 * MB;
 const MIN_SPEEDUP: f64 = 5.0;
 /// Largest tolerated relative drop below the committed report's speedup.
 const REGRESSION_TOLERANCE: f64 = 0.20;
+/// Largest headline setup time, as a fraction of its event-loop wall.
+const MAX_SETUP_SHARE: f64 = 0.10;
 
 /// A scale workload: `jobs` jobs round-robin over `files` files of
 /// `blocks_per_file` blocks (= map tasks per job), arrivals spread
@@ -258,12 +263,28 @@ pub fn run(_seed: u64) -> usize {
         // used to pick this shape.
         let wl = scale_workload(100, 10_000, 100, 600, 300);
         println!("[throughput] headline: 10000 nodes, 1000000 map tasks");
-        Some(run_leg_with(
+        let h = run_leg_with(
             "headline-10k",
             1,
             &scale_cfg(10_000).with_batched_heartbeats(),
             &wl,
-        ))
+        );
+        let limit = MAX_SETUP_SHARE * h.wall_secs;
+        if h.setup_secs > limit {
+            eprintln!(
+                "[throughput] FAIL: headline setup {:.2}s exceeds {:.0}% of its {:.2}s loop wall ({limit:.2}s)",
+                h.setup_secs,
+                MAX_SETUP_SHARE * 100.0,
+                h.wall_secs
+            );
+            failed += 1;
+        } else {
+            println!(
+                "[throughput] setup gate ... ok ({:.2}s setup vs {:.2}s loop wall, limit {limit:.2}s)",
+                h.setup_secs, h.wall_secs
+            );
+        }
+        Some(h)
     };
 
     // --- Report.

@@ -43,7 +43,7 @@ impl ChaosEnv {
             .profile
             .build_topology(&mut DetRng::new(sim.seed).substream("topology"));
         let racks: Vec<Vec<u32>> = (0..topology.racks())
-            .map(|r| topology.nodes_in_rack(RackId(r)).into_iter().map(|n| n.0).collect())
+            .map(|r| topology.nodes_in_rack(RackId(r)).iter().map(|n| n.0).collect())
             .collect();
         // Enough jobs that the cluster stays busy across the fault
         // horizon; trailing faults still dispatch after the last job

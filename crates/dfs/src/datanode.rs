@@ -68,7 +68,7 @@ impl DataNode {
         }
     }
 
-    /// Drop a primary replica (balancer move / quarantine).
+    /// Drop a primary replica (quarantine after a failed checksum).
     pub fn remove_primary(&mut self, b: BlockId, bytes: u64) {
         if self.primary.remove(&b) {
             self.primary_bytes -= bytes;

@@ -165,12 +165,12 @@ impl Dfs {
             .collect();
         let fid = self
             .nn
-            .register_file(name, size_bytes, sizes.clone(), locs, now, is_system);
+            .register_file(name, size_bytes, sizes, locs, now, is_system);
         // Mirror placement into the data nodes.
-        let blocks = self.nn.file(fid).blocks.clone();
-        for (b, sz) in blocks.iter().zip(sizes) {
-            for n in self.nn.primary_locations(*b).to_vec() {
-                self.dns[n.idx()].add_primary(*b, sz);
+        for &b in &self.nn.file(fid).blocks {
+            let sz = self.nn.block_size(b);
+            for n in self.nn.primary_locations(b) {
+                self.dns[n.idx()].add_primary(b, sz);
             }
             self.dirty_blocks.mark(b.idx());
         }
@@ -380,29 +380,6 @@ impl Dfs {
         let bytes = self.nn.block_size(b);
         self.nn.add_primary_location(b, node);
         self.dns[node.idx()].add_primary(b, bytes);
-        self.dirty_blocks.mark(b.idx());
-    }
-
-    /// Migrate a primary replica of `b` from `src` to `dst` (balancer
-    /// move): the name node and both data nodes are updated atomically.
-    ///
-    /// # Panics
-    /// If `src` does not hold a primary replica of `b` or `dst` already
-    /// holds any replica of it.
-    pub fn move_primary(&mut self, b: BlockId, src: NodeId, dst: NodeId) {
-        assert!(
-            self.nn.primary_locations(b).contains(&src),
-            "source lacks a primary replica of {b}"
-        );
-        assert!(
-            !self.is_physically_present(dst, b),
-            "destination already holds {b}"
-        );
-        let bytes = self.nn.block_size(b);
-        self.nn.remove_primary_location(b, src);
-        self.nn.add_primary_location(b, dst);
-        self.dns[src.idx()].remove_primary(b, bytes);
-        self.dns[dst.idx()].add_primary(b, bytes);
         self.dirty_blocks.mark(b.idx());
     }
 

@@ -23,13 +23,11 @@
 //!
 //! Modules: [`ids`] (typed identifiers and metadata), [`placement`]
 //! (replica-target selection policies), [`namenode`], [`datanode`], the
-//! [`Dfs`] facade tying them together, the [`balancer`] (the HDFS balancer
-//! analog for evening out primary-byte utilization), and the write
-//! [`pipeline`] timing model (chained replica writes).
+//! [`Dfs`] facade tying them together, and the write [`pipeline`] timing
+//! model (chained replica writes).
 
 #![warn(missing_docs)]
 
-pub mod balancer;
 pub mod datanode;
 pub mod dfs;
 pub mod ids;
@@ -40,5 +38,4 @@ pub mod placement;
 pub use dfs::{Dfs, DfsConfig, FailOutcome, Quarantined};
 pub use ids::{BlockId, FileId};
 pub use namenode::NameNode;
-pub use balancer::{balance, BalanceReport};
 pub use placement::{DefaultPlacement, PlacementPolicy, RandomPlacement};

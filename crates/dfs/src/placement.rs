@@ -9,6 +9,9 @@ use dare_net::{NodeId, Topology};
 use dare_simcore::DetRng;
 
 /// Chooses the target nodes for the replicas of one new block.
+///
+/// Called once per block at ingest, so a policy's per-call cost multiplies
+/// by the block count: [`DefaultPlacement`] costs O(rack), not O(nodes).
 pub trait PlacementPolicy {
     /// Pick `replicas` distinct nodes for a block written by `writer`
     /// (None for external/ingest writes). Must return exactly
@@ -30,11 +33,18 @@ pub trait PlacementPolicy {
 ///
 /// On a single-rack cluster the rack constraints degenerate to "any other
 /// node", matching real HDFS behaviour.
+///
+/// Cost is O(rack): it reads only the first and second replicas' racks
+/// from [`Topology::nodes_in_rack`]. Contract: the same draws as the Hadoop
+/// pool order. Each pool (off-rack nodes, or the second's rack-mates) is
+/// taken in ascending node order and indexed with one `rng.index(pool
+/// size)` draw; the pool is never built, the drawn rank is mapped to its
+/// node by stepping past the excluded rack's members.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DefaultPlacement;
 
-/// Uniformly random distinct nodes — the strawman policy some tests and
-/// ablations use.
+/// Uniformly random distinct nodes — a rack-oblivious strawman. No engine
+/// path or experiment uses it; only its own test does.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RandomPlacement;
 
@@ -75,31 +85,29 @@ impl PlacementPolicy for DefaultPlacement {
         chosen.push(first);
 
         // 2nd replica: different rack if one exists, else any other node.
+        // The pool is every node outside `excluded`, ascending; draw a
+        // rank in it and step past the excluded nodes.
         if chosen.len() < k {
-            let off_rack: Vec<NodeId> = (0..n as u32)
-                .map(NodeId)
-                .filter(|&m| !topo.same_rack(first, m))
-                .collect();
-            let pool: Vec<NodeId> = if off_rack.is_empty() {
-                (0..n as u32).map(NodeId).filter(|&m| m != first).collect()
+            let home = topo.nodes_in_rack(topo.rack_of(first));
+            let excluded = if home.len() < n {
+                home
             } else {
-                off_rack
+                std::slice::from_ref(&first)
             };
-            if !pool.is_empty() {
-                chosen.push(pool[rng.index(pool.len())]);
+            let pool = n - excluded.len();
+            if pool > 0 {
+                chosen.push(nth_outside(rng.index(pool), excluded));
             }
         }
 
         // 3rd replica: same rack as the 2nd, different node; else random.
         if chosen.len() < k {
-            let second = chosen[1];
-            let same_rack: Vec<NodeId> = topo
-                .nodes_in_rack(topo.rack_of(second))
-                .into_iter()
-                .filter(|m| !chosen.contains(m))
-                .collect();
-            if !same_rack.is_empty() {
-                chosen.push(same_rack[rng.index(same_rack.len())]);
+            let rack = topo.nodes_in_rack(topo.rack_of(chosen[1]));
+            let mut free = rack.iter().filter(|m| !chosen.contains(m));
+            let len = free.clone().count();
+            if len > 0 {
+                let pick = *free.nth(rng.index(len)).expect("rank below count");
+                chosen.push(pick);
             }
         }
 
@@ -114,10 +122,129 @@ impl PlacementPolicy for DefaultPlacement {
     }
 }
 
+/// The `rank`-th node id (0-based, ascending) that is not in `excluded`,
+/// which must be ascending. Steps past each excluded id at or below the
+/// candidate, so the cost is O(|excluded|).
+fn nth_outside(rank: usize, excluded: &[NodeId]) -> NodeId {
+    let mut id = rank as u32;
+    for e in excluded {
+        if e.0 > id {
+            break;
+        }
+        id += 1;
+    }
+    NodeId(id)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use dare_net::RackId;
+
+    /// The pool-building Hadoop placement that `DefaultPlacement` replaced:
+    /// it materializes each candidate pool in ascending node order and
+    /// indexes it with the draw. The differential oracle for the
+    /// rank-mapped draws.
+    struct PoolPlacement;
+
+    impl PlacementPolicy for PoolPlacement {
+        fn place(
+            &self,
+            topo: &Topology,
+            writer: Option<NodeId>,
+            replicas: u32,
+            rng: &mut DetRng,
+        ) -> Vec<NodeId> {
+            let n = topo.nodes() as usize;
+            let k = (replicas as usize).min(n);
+            let mut chosen: Vec<NodeId> = Vec::with_capacity(k);
+            if k == 0 {
+                return chosen;
+            }
+
+            // 1st replica: writer-local, or random for ingest writes.
+            let first = writer.unwrap_or_else(|| NodeId(rng.index(n) as u32));
+            chosen.push(first);
+
+            // 2nd replica: different rack if one exists, else any other node.
+            if chosen.len() < k {
+                let off_rack: Vec<NodeId> = (0..n as u32)
+                    .map(NodeId)
+                    .filter(|&m| !topo.same_rack(first, m))
+                    .collect();
+                let pool: Vec<NodeId> = if off_rack.is_empty() {
+                    (0..n as u32).map(NodeId).filter(|&m| m != first).collect()
+                } else {
+                    off_rack
+                };
+                if !pool.is_empty() {
+                    chosen.push(pool[rng.index(pool.len())]);
+                }
+            }
+
+            // 3rd replica: same rack as the 2nd, different node; else random.
+            if chosen.len() < k {
+                let second = chosen[1];
+                let same_rack: Vec<NodeId> = topo
+                    .nodes_in_rack(topo.rack_of(second))
+                    .iter()
+                    .copied()
+                    .filter(|m| !chosen.contains(m))
+                    .collect();
+                if !same_rack.is_empty() {
+                    chosen.push(same_rack[rng.index(same_rack.len())]);
+                }
+            }
+
+            // Remaining replicas: random distinct nodes.
+            while chosen.len() < k {
+                let cand = NodeId(rng.index(n) as u32);
+                if !chosen.contains(&cand) {
+                    chosen.push(cand);
+                }
+            }
+            chosen
+        }
+    }
+
+    #[test]
+    fn default_placement_matches_the_pool_oracle() {
+        let mut rng = DetRng::new(99);
+        let topologies = [
+            // more racks than nodes: some racks are empty
+            Topology::virtualized(6, 15, 4, &mut rng),
+            Topology::virtualized(40, 8, 2, &mut rng),
+            Topology::virtualized(300, 30, 5, &mut rng),
+            // singleton racks and rack-id gaps
+            Topology::explicit(vec![0, 4, 4, 9, 2, 9, 9, 4], 3),
+            Topology::explicit(vec![7, 1, 3, 5], 2),
+            Topology::explicit(vec![2, 2, 6, 2, 2], 1),
+            Topology::single_rack(1),
+            Topology::single_rack(2),
+            Topology::single_rack(50),
+        ];
+        for (t, topo) in topologies.iter().enumerate() {
+            let n = topo.nodes();
+            for replicas in 0..=5 {
+                for seed in 0..40u64 {
+                    let writers = [None, Some(NodeId(seed as u32 % n))];
+                    for writer in writers {
+                        let mut a = DetRng::new(seed * 31 + t as u64);
+                        let mut b = DetRng::new(seed * 31 + t as u64);
+                        for round in 0..4 {
+                            let got = DefaultPlacement.place(topo, writer, replicas, &mut a);
+                            let want = PoolPlacement.place(topo, writer, replicas, &mut b);
+                            assert_eq!(
+                                got, want,
+                                "topology {t}, writer {writer:?}, {replicas} replicas, seed {seed}, round {round}"
+                            );
+                        }
+                        assert_eq!(a.next_u64(), b.next_u64(), "same draws consumed");
+                    }
+                }
+            }
+        }
+    }
 
     fn distinct(v: &[NodeId]) -> bool {
         let mut s = v.to_vec();

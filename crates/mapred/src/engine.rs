@@ -696,7 +696,7 @@ impl Engine {
                     rack,
                     down_secs,
                 } => {
-                    for nid in dfs.topology().nodes_in_rack(dare_net::RackId(rack)) {
+                    for &nid in dfs.topology().nodes_in_rack(dare_net::RackId(rack)) {
                         events.push(
                             SimTime::from_secs(at_secs),
                             Ev::NodeCrash {
@@ -734,7 +734,7 @@ impl Engine {
                     ..
                 } => {
                     for &rack in racks_b {
-                        for nid in dfs.topology().nodes_in_rack(dare_net::RackId(rack)) {
+                        for &nid in dfs.topology().nodes_in_rack(dare_net::RackId(rack)) {
                             events.push(
                                 SimTime::from_secs(at_secs),
                                 Ev::NodeCrash {

@@ -346,7 +346,7 @@ impl FaultPlan {
             match *ev {
                 FaultEvent::RackOutage { rack, .. } => {
                     let (s, e) = ev.window().expect("rack outage has a window");
-                    for n in topo.nodes_in_rack(dare_net::RackId(rack)) {
+                    for &n in topo.nodes_in_rack(dare_net::RackId(rack)) {
                         windows.push((n.0, s, e));
                     }
                 }
@@ -361,7 +361,7 @@ impl FaultPlan {
                 } => {
                     let (s, e) = (at_secs, at_secs.saturating_add(heal_secs));
                     for &rack in racks_b {
-                        for n in topo.nodes_in_rack(dare_net::RackId(rack)) {
+                        for &n in topo.nodes_in_rack(dare_net::RackId(rack)) {
                             windows.push((n.0, s, e));
                         }
                     }

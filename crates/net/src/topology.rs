@@ -47,11 +47,37 @@ struct Placement {
     pod: u32,
 }
 
+/// Group nodes by rack with a counting sort, so each rack's members stay
+/// ascending: returns the grouped members and `racks + 1` offsets, rack
+/// `r` owning `members[start[r]..start[r + 1]]`.
+fn rack_index(placements: &[Placement], racks: u32) -> (Vec<NodeId>, Vec<u32>) {
+    let mut start = vec![0u32; racks as usize + 1];
+    for p in placements {
+        start[p.rack.idx() + 1] += 1;
+    }
+    for r in 0..racks as usize {
+        start[r + 1] += start[r];
+    }
+    let mut next = start.clone();
+    let mut members = vec![NodeId(0); placements.len()];
+    for (i, p) in placements.iter().enumerate() {
+        let slot = &mut next[p.rack.idx()];
+        members[*slot as usize] = NodeId(i as u32);
+        *slot += 1;
+    }
+    (members, start)
+}
+
 /// A cluster topology: node placement plus the hop metric between nodes.
 #[derive(Debug, Clone)]
 pub struct Topology {
     placements: Vec<Placement>,
     racks: u32,
+    /// Every node grouped by rack, ascending within each rack, built once
+    /// by `rack_index` so `nodes_in_rack` is a slice.
+    rack_members: Vec<NodeId>,
+    /// `racks + 1` offsets into `rack_members`.
+    rack_start: Vec<u32>,
     /// Hops between distinct nodes in the same rack.
     hops_same_rack: u32,
     /// Hops between nodes in different racks of the same pod.
@@ -68,14 +94,18 @@ impl Topology {
     /// distinct nodes is one hop apart through the top-of-rack switch.
     pub fn single_rack(nodes: u32) -> Self {
         assert!(nodes > 0);
+        let placements: Vec<Placement> = (0..nodes)
+            .map(|_| Placement {
+                rack: RackId(0),
+                pod: 0,
+            })
+            .collect();
+        let (rack_members, rack_start) = rack_index(&placements, 1);
         Topology {
-            placements: (0..nodes)
-                .map(|_| Placement {
-                    rack: RackId(0),
-                    pod: 0,
-                })
-                .collect(),
+            placements,
             racks: 1,
+            rack_members,
+            rack_start,
             hops_same_rack: 1,
             hops_same_pod: 1,
             hops_cross_pod: 1,
@@ -91,7 +121,7 @@ impl Topology {
     /// Fig. 1).
     pub fn virtualized(nodes: u32, racks: u32, racks_per_pod: u32, rng: &mut DetRng) -> Self {
         assert!(nodes > 0 && racks > 0 && racks_per_pod > 0);
-        let placements = (0..nodes)
+        let placements: Vec<Placement> = (0..nodes)
             .map(|_| {
                 let rack = RackId(rng.index(racks as usize) as u32);
                 Placement {
@@ -100,9 +130,12 @@ impl Topology {
                 }
             })
             .collect();
+        let (rack_members, rack_start) = rack_index(&placements, racks);
         Topology {
             placements,
             racks,
+            rack_members,
+            rack_start,
             hops_same_rack: 2,
             hops_same_pod: 4,
             hops_cross_pod: 6,
@@ -115,16 +148,19 @@ impl Topology {
     pub fn explicit(racks_of: Vec<u32>, racks_per_pod: u32) -> Self {
         assert!(!racks_of.is_empty() && racks_per_pod > 0);
         let racks = racks_of.iter().copied().max().expect("non-empty") + 1;
-        let placements = racks_of
+        let placements: Vec<Placement> = racks_of
             .iter()
             .map(|&r| Placement {
                 rack: RackId(r),
                 pod: r / racks_per_pod,
             })
             .collect();
+        let (rack_members, rack_start) = rack_index(&placements, racks);
         Topology {
             placements,
             racks,
+            rack_members,
+            rack_start,
             hops_same_rack: if racks == 1 { 1 } else { 2 },
             hops_same_pod: 4,
             hops_cross_pod: 6,
@@ -192,14 +228,15 @@ impl Topology {
         h
     }
 
-    /// All nodes in rack `r`, ascending.
-    pub fn nodes_in_rack(&self, r: RackId) -> Vec<NodeId> {
-        self.placements
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| p.rack == r)
-            .map(|(i, _)| NodeId(i as u32))
-            .collect()
+    /// All nodes in rack `r`, ascending; empty for an empty or
+    /// out-of-range rack. O(1): a slice of the index built at
+    /// construction, not a scan of every node.
+    pub fn nodes_in_rack(&self, r: RackId) -> &[NodeId] {
+        if r.0 >= self.racks {
+            return &[];
+        }
+        let (lo, hi) = (self.rack_start[r.idx()], self.rack_start[r.idx() + 1]);
+        &self.rack_members[lo as usize..hi as usize]
     }
 }
 
@@ -280,8 +317,38 @@ mod tests {
         let t = Topology::explicit(vec![0, 1, 0, 1, 0], 1);
         assert_eq!(
             t.nodes_in_rack(RackId(0)),
-            vec![NodeId(0), NodeId(2), NodeId(4)]
+            [NodeId(0), NodeId(2), NodeId(4)]
         );
-        assert_eq!(t.nodes_in_rack(RackId(1)), vec![NodeId(1), NodeId(3)]);
+        assert_eq!(t.nodes_in_rack(RackId(1)), [NodeId(1), NodeId(3)]);
+    }
+
+    /// The index agrees with a full filter-scan of `rack_of` for every
+    /// rack id, empty racks and one past the last rack included.
+    #[test]
+    fn rack_index_matches_a_filter_scan() {
+        let mut rng = DetRng::new(11);
+        let topologies = [
+            // more racks than nodes: some racks stay empty
+            Topology::virtualized(7, 20, 4, &mut rng),
+            Topology::virtualized(500, 40, 5, &mut rng),
+            // singleton racks and rack-id gaps
+            Topology::explicit(vec![3, 0, 9, 3, 7, 0, 12], 2),
+            Topology::explicit(vec![5], 1),
+            Topology::single_rack(1),
+            Topology::single_rack(50),
+        ];
+        for t in &topologies {
+            let mut seen = 0;
+            for r in 0..=t.racks() {
+                let scan: Vec<NodeId> = (0..t.nodes())
+                    .map(NodeId)
+                    .filter(|&n| t.rack_of(n) == RackId(r))
+                    .collect();
+                assert_eq!(t.nodes_in_rack(RackId(r)), scan, "rack {r} of {t:?}");
+                seen += scan.len();
+            }
+            assert_eq!(seen, t.nodes() as usize, "every node in exactly one rack");
+            assert!(t.nodes_in_rack(RackId(u32::MAX)).is_empty());
+        }
     }
 }

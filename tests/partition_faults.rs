@@ -33,7 +33,7 @@ fn partition_heal_reconciles_exactly_like_rejoin() {
         .expect("at least two populated racks");
     let cut: Vec<u32> = topo
         .nodes_in_rack(RackId(rack_b))
-        .into_iter()
+        .iter()
         .map(|n| n.0)
         .collect();
     assert!(cut.len() >= 2, "want a multi-node cut, got {cut:?}");
