@@ -169,6 +169,38 @@ fn flow_churn(r: &mut Runner) {
             },
         );
     }
+    // The scale-dare shape: about 500 flows in flight at once on 10k
+    // NICs. Every finished flow is replaced by a new one until 2,500 have
+    // started, so the active count holds near 500, then the rest drain.
+    let nodes = 10_000usize;
+    r.bench_batched(
+        &format!("flowsim/churn/{nodes}"),
+        || FlowSim::new(vec![100.0; nodes], 1.5),
+        move |mut sim| {
+            let mut rng = DetRng::new(5);
+            let mut start = |sim: &mut FlowSim<u64>, t: SimTime, i: u64| {
+                let src = rng.index(nodes);
+                let dst = (src + 1 + rng.index(nodes - 1)) % nodes;
+                let bytes = (8 + rng.index(56) as u64) * MB;
+                let (src, dst) = (NodeId(src as u32), NodeId(dst as u32));
+                sim.start(t, src, dst, bytes, i.is_multiple_of(3), i);
+            };
+            for i in 0..500 {
+                start(&mut sim, SimTime::ZERO, i);
+            }
+            let mut started = 500;
+            while let Some((t, _)) = sim.next_completion() {
+                for id in sim.collect_completed(t) {
+                    black_box(sim.take(id));
+                    if started < 2_500 {
+                        start(&mut sim, t, started);
+                        started += 1;
+                    }
+                }
+            }
+            black_box(sim.total_started())
+        },
+    );
 }
 
 fn main() {

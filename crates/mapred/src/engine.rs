@@ -1102,16 +1102,16 @@ impl Engine {
     /// space deduplication. Covers the DFS extended fingerprint (replica
     /// map, corrupt bits, visible-location order, pending reports), node
     /// liveness/slot/epoch state, per-job progress, the scheduler queue,
-    /// the recovery pipeline, in-flight flows (identity, relative start
-    /// time, and current rate), and a digest of the pending event queue
-    /// with times relative to `now` — so states reached at different
-    /// absolute times but with identical remaining behavior collide.
+    /// the recovery pipeline, in-flight flows (identity, anchor time,
+    /// residual bytes at the anchor, and rate), and a digest of the
+    /// pending event queue, with times relative to `now` — so states
+    /// reached at different absolute times but with identical remaining
+    /// behavior collide.
     ///
     /// Monotone counters (attempt ids, liveness epochs, flow ids) are
     /// hashed raw: they can distinguish behaviorally equivalent states
-    /// (costing dedup, never soundness). Flow *progress* is approximated
-    /// by start time and current rate; see DESIGN.md for the residual
-    /// approximation.
+    /// (costing dedup, never soundness). Flow progress is exact: the
+    /// anchored residual and rate fix each flow's future.
     pub fn state_fingerprint(&self) -> u64 {
         const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
         fn mix(h: &mut u64, v: u64) {
@@ -1235,8 +1235,10 @@ impl Engine {
         h
     }
 
-    /// Mix one in-flight flow's identity, relative start time, and
-    /// current rate into the fingerprint.
+    /// Mix one in-flight flow's identity and exact progress — anchor
+    /// time relative to now, residual bytes at the anchor, and rate —
+    /// into the fingerprint. A stopped flow (not yet taken) mixes a
+    /// marker instead.
     fn mix_flow(&self, h: &mut u64, fid: FlowId, ago: impl Fn(SimTime) -> u64) {
         const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
         let mut m = |v: u64| {
@@ -1246,8 +1248,14 @@ impl Engine {
             }
         };
         m(fid.0);
-        m(self.flows.started_at(fid).map_or(u64::MAX, &ago));
-        m(self.flows.rate_of(fid).map_or(u64::MAX, f64::to_bits));
+        match self.flows.anchor_of(fid) {
+            Some((anchor, bytes, rate)) => {
+                m(ago(anchor));
+                m(bytes.to_bits());
+                m(rate.to_bits());
+            }
+            None => m(u64::MAX),
+        }
     }
 
     /// Emit samples for every pending tick strictly before `next_event`.
@@ -2852,7 +2860,9 @@ impl Engine {
         let trace = self.tracer.take().map(Tracer::finish);
         let telemetry = self.telem.take().map(|t| t.seal());
         let profile = self.profiler.take().map(|mut p| {
-            p.note_slab_peak(self.flows.peak_active() as u64);
+            p.note_peak_active_flows(self.flows.peak_active() as u64);
+            let (changes, rerates) = self.flows.work();
+            p.note_flow_work(changes, rerates);
             p.finish()
         });
         let dfs_fingerprint = self.dfs.replica_fingerprint();
@@ -4267,6 +4277,8 @@ mod tests {
         assert!(queue_events > 0, "every dispatched event was popped");
         assert_eq!(queue_events, p.total_events(), "one pop per dispatched event");
         assert!(p.peak_queue_len > 0, "the queue held events");
-        assert!(p.peak_slab_occupancy > 0, "fetch flows occupied the slab");
+        assert!(p.peak_active_flows > 0, "fetch flows were in flight");
+        assert!(p.flow_changes > 0 && p.flow_rerates > 0);
+        assert!(p.netchecks_empty <= p.of(Subsystem::Net).0);
     }
 }

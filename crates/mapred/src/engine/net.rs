@@ -177,7 +177,13 @@ impl Engine {
     /// same batch cancelled is gone from the table and is skipped.
     pub(super) fn on_net_check(&mut self) {
         self.next_netcheck = None;
-        for fid in self.flows.collect_completed(self.now) {
+        let done = self.flows.collect_completed(self.now);
+        if done.is_empty() {
+            if let Some(p) = self.profiler.as_mut() {
+                p.note_empty_netcheck();
+            }
+        }
+        for fid in done {
             let Some((started, t)) = self.flows.take(fid) else {
                 continue;
             };

@@ -12,8 +12,34 @@
 //! * cross-rack flows are additionally divided by the fabric
 //!   **oversubscription factor** (Section V-B notes fabrics are frequently
 //!   oversubscribed across racks);
-//! * rates are piecewise-constant between flow arrivals/departures; on each
-//!   change the simulator advances all residual byte counts and recomputes.
+//! * rates are piecewise-constant between flow arrivals/departures and
+//!   NIC derating changes. The model is not work-conserving: a flow held
+//!   back by one endpoint leaves its share at the other endpoint unused.
+//!
+//! The simulator does work proportional to what a change touches, not to
+//! the number of flows in flight:
+//!
+//! * **Anchored residuals.** Each flow stores `(anchor, bytes at anchor,
+//!   rate, finish)`. It re-anchors — measures its residual at `now` and
+//!   restarts the clock — only when its rate changes bitwise, so float
+//!   integration happens once per rate change. Its finish is
+//!   `anchor + ceil(bytes / rate)` in whole microseconds.
+//! * **Integer done-rule.** A flow is done exactly when `now >= finish`.
+//!   No residual-byte epsilon, no completion slack: a flow re-rated at or
+//!   after its finish keeps residual 0 and its finish.
+//! * **Pool-local re-rating.** Per-node tx and rx member lists hold the
+//!   active flows at each endpoint. A flow's rate depends only on its
+//!   src-tx pool and dst-rx pool, so a start, finish, cancel or
+//!   [`FlowSim::set_node_factor`] re-rates only the flows in the pools it
+//!   changed.
+//! * **Completion heap.** A min-heap keyed `(finish, id)` holds one
+//!   current entry per active flow; an entry whose flow has since moved
+//!   its finish (a per-flow version) or left is stale and skipped. The
+//!   top is kept current after every call, so
+//!   [`FlowSim::next_completion`] is a peek, and
+//!   [`FlowSim::collect_completed`] pops only the flows that finished. The
+//!   heap is compacted when stale entries outnumber active flows about
+//!   two to one.
 //!
 //! [`FlowSim<T>`] is the one table of in-flight transfers: every flow
 //! carries a caller payload `T` (what the transfer is *for*), so the
@@ -30,36 +56,71 @@
 //! [`FlowSim::next_completion`] and re-checking whenever flows start.
 
 use crate::topology::NodeId;
-use dare_simcore::{FxHashMap, SimTime, Slab, SlabKey};
+use dare_simcore::{FxHashMap, SimDuration, SimTime, Slab, SlabKey};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Identifier of a flow.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct FlowId(pub u64);
-
-/// Residual bytes below which a flow counts as finished (guards against
-/// floating-point dust after rate integration).
-const EPSILON_BYTES: f64 = 1e-3;
 
 #[derive(Debug, Clone)]
 struct Flow<T> {
     id: u64,
     src: NodeId,
     dst: NodeId,
-    bytes_remaining: f64,
-    rate_bytes_per_sec: f64,
     cross_rack: bool,
     started: SimTime,
+    /// When `bytes_at_anchor` was measured: the flow's last rate change.
+    anchor: SimTime,
+    /// Residual bytes at `anchor`.
+    bytes_at_anchor: f64,
+    /// Rate since `anchor`, bytes/s (`0.0` until the flow is first rated).
+    rate: f64,
+    /// `anchor + ceil(bytes_at_anchor / rate)` µs; done at `now >= finish`.
+    finish: SimTime,
+    /// Bumped whenever `finish` moves: heap entries of older versions are
+    /// stale.
+    version: u32,
     payload: T,
 }
 
 impl<T> Flow<T> {
-    /// Finished, allowing for clock-resolution dust: anything the flow
-    /// would move in under ~3 µs at its current rate counts as done.
-    fn is_done(&self) -> bool {
-        self.bytes_remaining <= EPSILON_BYTES
-            || self.bytes_remaining <= self.rate_bytes_per_sec * 3e-6
+    /// Residual bytes at `now` (zero from the finish on).
+    fn residual(&self, now: SimTime) -> f64 {
+        if now >= self.finish {
+            return 0.0;
+        }
+        let dt = now.saturating_since(self.anchor).as_secs_f64();
+        (self.bytes_at_anchor - self.rate * dt).max(0.0)
+    }
+
+    /// Switch to `rate` at `now`. Re-anchors only on a bitwise rate
+    /// change; returns whether the finish moved.
+    fn rerate(&mut self, now: SimTime, rate: f64) -> bool {
+        if rate.to_bits() == self.rate.to_bits() {
+            return false;
+        }
+        self.bytes_at_anchor = self.residual(now);
+        self.anchor = now;
+        self.rate = rate;
+        if now >= self.finish {
+            return false;
+        }
+        let us = (self.bytes_at_anchor / rate * 1e6).ceil() as u64;
+        let finish = now + SimDuration::from_micros(us);
+        if finish == self.finish {
+            return false;
+        }
+        self.finish = finish;
+        self.version = self.version.wrapping_add(1);
+        true
     }
 }
+
+/// A completion-heap entry, min-first by `(finish, id)`; the slot key and
+/// version tell whether it still describes the flow.
+type Entry = Reverse<(SimTime, u64, SlabKey, u32)>;
 
 /// The flow-level simulator over payloads `T`. All bandwidth in MB/s,
 /// sizes in bytes.
@@ -74,7 +135,7 @@ impl<T> Flow<T> {
 /// let a = sim.start(SimTime::ZERO, NodeId(0), NodeId(2), 100 * MB, false, "a");
 /// sim.start(SimTime::ZERO, NodeId(1), NodeId(2), 100 * MB, false, "b");
 /// let (t, _) = sim.next_completion().unwrap();
-/// assert!((t.as_secs_f64() - 2.0).abs() < 1e-3); // 50 MB/s each
+/// assert_eq!(t, SimTime::from_secs(2)); // 50 MB/s each
 /// // Both finish together; each payload comes back once.
 /// assert_eq!(sim.collect_completed(t).len(), 2);
 /// assert_eq!(sim.take(a), Some((SimTime::ZERO, "a")));
@@ -86,27 +147,28 @@ pub struct FlowSim<T> {
     nic_bytes_per_sec: Vec<f64>,
     /// Cross-rack flows see `capacity / oversub`.
     oversub: f64,
-    /// Dense arena of active flows. The slab keeps flows contiguous so the
-    /// per-event rate sweeps walk cache lines instead of hash buckets.
+    /// Per-node NIC derating factor (gray-failure injection): the node's
+    /// effective capacity is `nic / factor`. `1.0` = healthy.
+    node_factor: Vec<f64>,
+    /// Dense arena of active flows.
     flows: Slab<Flow<T>>,
     /// External id → slab slot. Ids stay sequential `u64`s because they
     /// appear in traces and must survive slot recycling.
     by_id: FxHashMap<u64, SlabKey>,
+    /// Active flows transmitting from / receiving at each node; a pool's
+    /// length is the divisor of that endpoint's fair share.
+    tx_pool: Vec<Vec<SlabKey>>,
+    rx_pool: Vec<Vec<SlabKey>>,
+    /// Completion heap; its top is always current (or the heap empty).
+    heap: BinaryHeap<Entry>,
     /// Stopped flows not yet taken or cancelled: `(id, start, payload)`.
     /// Short-lived (drained by the completion handler of the same batch).
     stopped: Vec<(u64, SimTime, T)>,
     next_id: u64,
-    last_advance: SimTime,
-    /// Flows ever started (diagnostics).
-    total_started: u64,
-    /// Persistent per-node scratch for [`FlowSim::recompute_rates`]:
-    /// zeroed endpoint-by-endpoint (O(active), not O(nodes)) so a rate
-    /// recomputation allocates nothing and never sweeps idle nodes.
-    tx_count: Vec<u32>,
-    rx_count: Vec<u32>,
-    /// Per-node NIC derating factor (gray-failure injection): the node's
-    /// effective capacity is `nic / factor`. `1.0` = healthy.
-    node_factor: Vec<f64>,
+    /// Work counters: changes (starts, finishes, cancels, factor
+    /// changes) and flows re-rated because of them.
+    changes: u64,
+    rerates: u64,
 }
 
 impl<T> FlowSim<T> {
@@ -114,8 +176,11 @@ impl<T> FlowSim<T> {
     /// oversubscription factor (`>= 1`).
     pub fn new(nic_capacity_mbps: Vec<f64>, oversub: f64) -> Self {
         assert!(!nic_capacity_mbps.is_empty());
-        assert!(oversub >= 1.0, "oversubscription factor must be >= 1");
-        assert!(nic_capacity_mbps.iter().all(|&c| c > 0.0));
+        assert!(
+            oversub >= 1.0 && oversub.is_finite(),
+            "oversubscription factor must be finite and >= 1"
+        );
+        assert!(nic_capacity_mbps.iter().all(|&c| c > 0.0 && c.is_finite()));
         let n = nic_capacity_mbps.len();
         FlowSim {
             nic_bytes_per_sec: nic_capacity_mbps
@@ -123,32 +188,33 @@ impl<T> FlowSim<T> {
                 .map(|c| c * crate::MB as f64)
                 .collect(),
             oversub,
+            node_factor: vec![1.0; n],
             flows: Slab::new(),
             by_id: FxHashMap::default(),
+            tx_pool: vec![Vec::new(); n],
+            rx_pool: vec![Vec::new(); n],
+            heap: BinaryHeap::new(),
             stopped: Vec::new(),
             next_id: 0,
-            last_advance: SimTime::ZERO,
-            total_started: 0,
-            tx_count: vec![0; n],
-            rx_count: vec![0; n],
-            node_factor: vec![1.0; n],
+            changes: 0,
+            rerates: 0,
         }
     }
 
     /// Set a node's NIC derating factor (gray-failure injection): its
     /// effective capacity becomes `nic / factor` for both tx and rx
-    /// until the factor is reset to `1.0`. Residual bytes are advanced
-    /// to `now` first and every active flow's rate recomputed, so the
-    /// change is piecewise-constant like any arrival or departure.
+    /// until the factor is reset to `1.0`. The flows sending from or
+    /// receiving at the node are re-rated at `now`, so the change is
+    /// piecewise-constant like any arrival or departure.
     pub fn set_node_factor(&mut self, now: SimTime, node: NodeId, factor: f64) {
         assert!(
-            factor >= 1.0 && !factor.is_nan(),
-            "NIC derating factor must be >= 1, got {factor}"
+            factor >= 1.0 && factor.is_finite(),
+            "NIC derating factor must be finite and >= 1, got {factor}"
         );
         assert!(node.idx() < self.node_factor.len());
-        self.advance(now);
         self.node_factor[node.idx()] = factor;
-        self.recompute_rates();
+        self.changes += 1;
+        self.rerate_pools(now, node, node);
     }
 
     /// Peak number of simultaneously active flows (slab high-water mark).
@@ -163,7 +229,13 @@ impl<T> FlowSim<T> {
 
     /// Flows ever started.
     pub fn total_started(&self) -> u64 {
-        self.total_started
+        self.next_id
+    }
+
+    /// Changes so far (starts, finishes, cancels of active flows and
+    /// factor changes) and the flows re-rated because of them.
+    pub fn work(&self) -> (u64, u64) {
+        (self.changes, self.rerates)
     }
 
     /// Start a flow of `bytes` from `src` to `dst` at time `now`, carrying
@@ -180,82 +252,65 @@ impl<T> FlowSim<T> {
     ) -> FlowId {
         assert!(src.idx() < self.nic_bytes_per_sec.len());
         assert!(dst.idx() < self.nic_bytes_per_sec.len());
-        self.advance(now);
         let id = self.next_id;
         self.next_id += 1;
-        self.total_started += 1;
         let key = self.flows.insert(Flow {
             id,
             src,
             dst,
-            bytes_remaining: bytes as f64,
-            rate_bytes_per_sec: 0.0,
             cross_rack,
             started: now,
+            anchor: now,
+            bytes_at_anchor: bytes as f64,
+            rate: 0.0,
+            finish: SimTime::MAX,
+            version: 0,
             payload,
         });
         self.by_id.insert(id, key);
-        self.recompute_rates();
+        self.tx_pool[src.idx()].push(key);
+        self.rx_pool[dst.idx()].push(key);
+        self.changes += 1;
+        self.rerate_pools(now, src, dst);
         FlowId(id)
     }
 
-    /// Advance residual bytes to `now` (piecewise-constant rates).
-    pub fn advance(&mut self, now: SimTime) {
-        if now <= self.last_advance {
-            return;
-        }
-        let dt = now.saturating_since(self.last_advance).as_secs_f64();
-        for (_, f) in self.flows.iter_mut() {
-            f.bytes_remaining = (f.bytes_remaining - f.rate_bytes_per_sec * dt).max(0.0);
-        }
-        self.last_advance = now;
-    }
-
     /// Earliest predicted completion across active flows, assuming rates
-    /// stay as they are. Returns `None` when no flow is active.
-    ///
-    /// The prediction carries a +2 µs margin: the simulated clock has
-    /// microsecond resolution, so an un-margined prediction can round down
-    /// and leave a sliver of bytes unfinished at the predicted instant —
-    /// which would make a caller polling at that instant spin forever.
+    /// stay as they are, with the lowest id among flows finishing in the
+    /// same microsecond. `None` when no flow is active. The prediction is
+    /// exact: [`FlowSim::collect_completed`] at that instant stops the flow.
     pub fn next_completion(&self) -> Option<(SimTime, FlowId)> {
-        self.flows
-            .iter()
-            .filter(|(_, f)| f.rate_bytes_per_sec > 0.0 || f.is_done())
-            .map(|(_, f)| {
-                let secs = if f.is_done() {
-                    0.0
-                } else {
-                    f.bytes_remaining / f.rate_bytes_per_sec + 2e-6
-                };
-                (
-                    self.last_advance + dare_simcore::SimDuration::from_secs_f64(secs),
-                    FlowId(f.id),
-                )
-            })
-            .min_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1)))
+        self.heap
+            .peek()
+            .map(|&Reverse((finish, id, _, _))| (finish, FlowId(id)))
     }
 
-    /// Advance to `now` and stop every flow whose bytes are exhausted:
-    /// they leave the bandwidth pools and wait for [`FlowSim::take`].
-    /// Returns the stopped ids in ascending order.
+    /// Stop every flow whose finish is at or before `now`: they leave the
+    /// bandwidth pools and wait for [`FlowSim::take`]; the flows they
+    /// shared pools with are re-rated at `now`. Returns the stopped ids in
+    /// ascending order.
     pub fn collect_completed(&mut self, now: SimTime) -> Vec<FlowId> {
-        self.advance(now);
-        let mut done: Vec<(u64, SlabKey)> = self
-            .flows
-            .iter()
-            .filter(|(_, f)| f.is_done())
-            .map(|(key, f)| (f.id, key))
-            .collect();
-        done.sort_unstable_by_key(|&(id, _)| id);
-        for &(id, key) in &done {
-            if let Some(f) = self.flows.remove(key) {
-                self.by_id.remove(&id);
-                self.stopped.push((id, f.started, f.payload));
+        let mut done: Vec<(u64, SlabKey)> = Vec::new();
+        while let Some(&Reverse((finish, id, key, _))) = self.heap.peek() {
+            if finish > now {
+                break;
             }
+            self.heap.pop();
+            self.prune_top();
+            done.push((id, key));
         }
-        if !done.is_empty() {
-            self.recompute_rates();
+        done.sort_unstable_by_key(|&(id, _)| id);
+        let mut ends = Vec::with_capacity(done.len());
+        for &(id, key) in &done {
+            let f = self.remove_active(id, key);
+            ends.push((f.src, f.dst));
+            self.stopped.push((id, f.started, f.payload));
+        }
+        // Re-rate only after every finished flow has left its pools, so
+        // each survivor re-anchors at most once, at its final rate.
+        self.changes += ends.len() as u64;
+        for (src, dst) in ends {
+            self.rerate_pools(now, src, dst);
         }
         done.into_iter().map(|(id, _)| FlowId(id)).collect()
     }
@@ -274,10 +329,10 @@ impl<T> FlowSim<T> {
     /// taken is dropped before its completion is handled. `None` if the
     /// flow already left the table.
     pub fn cancel(&mut self, now: SimTime, id: FlowId) -> Option<T> {
-        self.advance(now);
-        if let Some(key) = self.by_id.remove(&id.0) {
-            let f = self.flows.remove(key)?;
-            self.recompute_rates();
+        if let Some(&key) = self.by_id.get(&id.0) {
+            let f = self.remove_active(id.0, key);
+            self.changes += 1;
+            self.rerate_pools(now, f.src, f.dst);
             return Some(f.payload);
         }
         self.take(id).map(|(_, payload)| payload)
@@ -303,14 +358,17 @@ impl<T> FlowSim<T> {
         active.chain(self.stopped.iter_mut().map(|s| &mut s.2))
     }
 
-    /// Start time of a still-active flow.
-    pub fn started_at(&self, id: FlowId) -> Option<SimTime> {
-        self.lookup(id).map(|f| f.started)
-    }
-
     /// Current rate of a flow in bytes/s (None if finished/unknown).
     pub fn rate_of(&self, id: FlowId) -> Option<f64> {
-        self.lookup(id).map(|f| f.rate_bytes_per_sec)
+        self.lookup(id).map(|f| f.rate)
+    }
+
+    /// An active flow's anchored progress: `(anchor, residual bytes at
+    /// the anchor, rate since the anchor)`. Together they fix the flow's
+    /// future exactly (until the next rate change).
+    pub fn anchor_of(&self, id: FlowId) -> Option<(SimTime, f64, f64)> {
+        self.lookup(id)
+            .map(|f| (f.anchor, f.bytes_at_anchor, f.rate))
     }
 
     #[inline]
@@ -333,7 +391,7 @@ impl<T> FlowSim<T> {
         let mut entries: Vec<(u64, usize, usize, f64)> = self
             .flows
             .iter()
-            .map(|(_, f)| (f.id, f.src.idx(), f.dst.idx(), f.rate_bytes_per_sec))
+            .map(|(_, f)| (f.id, f.src.idx(), f.dst.idx(), f.rate))
             .collect();
         entries.sort_unstable_by_key(|e| e.0);
         for (_, src, dst, rate) in entries {
@@ -347,38 +405,84 @@ impl<T> FlowSim<T> {
         }
     }
 
-    /// Recompute every flow's rate from per-endpoint fair shares.
-    ///
-    /// Allocation-free and O(active flows): the persistent per-node
-    /// counters are zeroed endpoint-by-endpoint in a first pass, counted
-    /// in a second, consumed in a third — idle nodes are never touched,
-    /// which matters once the cluster has 10k NICs and a few dozen flows.
-    fn recompute_rates(&mut self) {
-        for (_, f) in self.flows.iter() {
-            self.tx_count[f.src.idx()] = 0;
-            self.rx_count[f.dst.idx()] = 0;
-        }
-        for (_, f) in self.flows.iter() {
-            self.tx_count[f.src.idx()] += 1;
-            self.rx_count[f.dst.idx()] += 1;
-        }
-        let (tx, rx, caps, fac, oversub) = (
-            &self.tx_count,
-            &self.rx_count,
-            &self.nic_bytes_per_sec,
-            &self.node_factor,
-            self.oversub,
-        );
-        for (_, f) in self.flows.iter_mut() {
-            let tx_share = caps[f.src.idx()] / fac[f.src.idx()] / tx[f.src.idx()] as f64;
-            let rx_share = caps[f.dst.idx()] / fac[f.dst.idx()] / rx[f.dst.idx()] as f64;
-            let mut rate = tx_share.min(rx_share);
-            if f.cross_rack {
-                rate /= oversub;
+    /// Take an active flow out of the slab, the id index and its pools.
+    /// Its heap entry goes stale.
+    fn remove_active(&mut self, id: u64, key: SlabKey) -> Flow<T> {
+        self.by_id.remove(&id);
+        let f = self.flows.remove(key).expect("indexed flow is active");
+        for pool in [
+            &mut self.tx_pool[f.src.idx()],
+            &mut self.rx_pool[f.dst.idx()],
+        ] {
+            let i = pool
+                .iter()
+                .position(|&k| k == key)
+                .expect("flow in its pools");
+            pool.swap_remove(i);
+            if pool.is_empty() {
+                // Only pools with members hold memory: over a long run
+                // most of a large cluster's NICs carry a flow at some
+                // point, and idle ones should not keep a buffer each.
+                *pool = Vec::new();
             }
-            f.rate_bytes_per_sec = rate;
+        }
+        f
+    }
+
+    /// Re-rate every flow in `src`'s tx pool and `dst`'s rx pool at
+    /// `now` (a flow in both, once), then restore the heap invariants.
+    fn rerate_pools(&mut self, now: SimTime, src: NodeId, dst: NodeId) {
+        for i in 0..self.tx_pool[src.idx()].len() {
+            self.rerate(now, self.tx_pool[src.idx()][i]);
+        }
+        for i in 0..self.rx_pool[dst.idx()].len() {
+            let key = self.rx_pool[dst.idx()][i];
+            if self.flows[key].src != src {
+                self.rerate(now, key);
+            }
+        }
+        self.prune_top();
+        let stale = self.heap.len().saturating_sub(self.flows.len());
+        if stale > 2 * self.flows.len() + 64 {
+            let flows = &self.flows;
+            self.heap.retain(|e| is_current(flows, e));
         }
     }
+
+    /// Give the flow at `key` the rate its pools imply now, pushing a
+    /// heap entry if its finish moved.
+    fn rerate(&mut self, now: SimTime, key: SlabKey) {
+        self.rerates += 1;
+        let f = &self.flows[key];
+        let (s, d) = (f.src.idx(), f.dst.idx());
+        let tx_share =
+            self.nic_bytes_per_sec[s] / self.node_factor[s] / self.tx_pool[s].len() as f64;
+        let rx_share =
+            self.nic_bytes_per_sec[d] / self.node_factor[d] / self.rx_pool[d].len() as f64;
+        let mut rate = tx_share.min(rx_share);
+        if f.cross_rack {
+            rate /= self.oversub;
+        }
+        let f = &mut self.flows[key];
+        if f.rerate(now, rate) {
+            self.heap.push(Reverse((f.finish, f.id, key, f.version)));
+        }
+    }
+
+    /// Pop stale entries until the top is current (or the heap empty).
+    fn prune_top(&mut self) {
+        while let Some(top) = self.heap.peek() {
+            if is_current(&self.flows, top) {
+                return;
+            }
+            self.heap.pop();
+        }
+    }
+}
+
+/// Whether a heap entry still describes an active flow's finish.
+fn is_current<T>(flows: &Slab<Flow<T>>, &Reverse((_, _, key, version)): &Entry) -> bool {
+    flows.get(key).is_some_and(|f| f.version == version)
 }
 
 #[cfg(test)]
@@ -503,27 +607,20 @@ mod tests {
     }
 
     #[test]
-    fn advance_is_idempotent_and_monotone() {
-        let mut s = sim(2, 100.0);
-        let id = s.start(SimTime::ZERO, NodeId(0), NodeId(1), 100 * MB, false, ());
-        let t = SimTime::from_secs_f64(0.25);
-        s.advance(t);
-        s.advance(t); // no double-decrement
-        s.advance(SimTime::from_secs_f64(0.1)); // going backwards: no-op
-        let (tc, _) = s.next_completion().expect("flow active");
-        assert!((tc.as_secs_f64() - 1.0).abs() < 1e-5);
-        s.collect_completed(tc);
-        assert!(s.rate_of(id).is_none());
-    }
-
-    #[test]
     fn stale_completion_check_is_safe() {
         // The engine may pop a completion event scheduled before a new flow
         // slowed everything down; collect_completed must return empty then.
         let mut s = sim(3, 100.0);
         s.start(SimTime::ZERO, NodeId(0), NodeId(2), 100 * MB, false, ());
         let (t_pred, _) = s.next_completion().expect("flow active");
-        s.start(SimTime::from_secs_f64(0.5), NodeId(1), NodeId(2), 100 * MB, false, ());
+        s.start(
+            SimTime::from_secs_f64(0.5),
+            NodeId(1),
+            NodeId(2),
+            100 * MB,
+            false,
+            (),
+        );
         let done = s.collect_completed(t_pred);
         assert!(done.is_empty(), "prediction went stale; nothing finished");
         let (t_new, _) = s.next_completion().expect("flows active");
@@ -571,14 +668,15 @@ mod tests {
         let mut s = sim(2, 100.0);
         let id = s.start(SimTime::ZERO, NodeId(0), NodeId(1), 100 * MB, false, ());
         // 0.5 s at full rate moves 50 MB; then the receiver goes gray 4x.
-        s.set_node_factor(SimTime::from_secs_f64(0.5), NodeId(1), 4.0);
-        assert!((s.rate_of(id).unwrap() - 25.0 * MB as f64).abs() < 1.0);
+        s.set_node_factor(SimTime::from_micros(500_000), NodeId(1), 4.0);
+        assert_eq!(s.rate_of(id), Some(25.0 * MB as f64));
         let (t, _) = s.next_completion().expect("flow active");
-        assert!((t.as_secs_f64() - 2.5).abs() < 1e-5, "50 MB @ 25 MB/s: got {t}");
+        assert_eq!(t, SimTime::from_micros(2_500_000), "50 MB @ 25 MB/s");
         // Recovery at t=1.5 (25 MB moved gray, 25 MB left at full rate).
-        s.set_node_factor(SimTime::from_secs_f64(1.5), NodeId(1), 1.0);
+        s.set_node_factor(SimTime::from_micros(1_500_000), NodeId(1), 1.0);
         let (t, _) = s.next_completion().expect("flow active");
-        assert!((t.as_secs_f64() - 1.75).abs() < 1e-5, "got {t}");
+        assert_eq!(t, SimTime::from_micros(1_750_000));
+        assert_eq!(s.collect_completed(t), vec![id]);
     }
 
     #[test]
@@ -593,7 +691,10 @@ mod tests {
         assert!((s.rate_of(b).unwrap() - 50.0 * MB as f64).abs() < 1.0);
         let mut util = Vec::new();
         s.nic_utilization_into(&mut util);
-        assert!((util[0].0 - 1.0).abs() < 1e-9, "gray tx saturated vs effective cap");
+        assert!(
+            (util[0].0 - 1.0).abs() < 1e-9,
+            "gray tx saturated vs effective cap"
+        );
         assert!((util[1].0 - 0.5).abs() < 1e-9);
         assert!((util[2].1 - 1.0).abs() < 1e-9);
     }
@@ -605,7 +706,6 @@ mod tests {
         let t1 = SimTime::from_secs_f64(0.05);
         let b = s.start(t1, NodeId(1), NodeId(3), 10 * MB, false, "b");
         let c = s.start(t1, NodeId(2), NodeId(1), 100 * MB, false, "c");
-        assert_eq!(s.started_at(a), Some(SimTime::ZERO));
         assert_eq!(s.take(a), None, "an active flow is not taken");
         // Stop a and b; c keeps running at the full NIC rate.
         let done = s.collect_completed(SimTime::from_secs(1));
@@ -621,7 +721,180 @@ mod tests {
         assert_eq!(s.take(b), None, "cancelled before it was taken");
         assert_eq!(s.take(a), None, "taken once");
         assert!(!s.contains(a) && !s.contains(b));
-        assert!(s.started_at(a).is_none());
         assert!((s.rate_of(c).unwrap() - 100.0 * MB as f64).abs() < 1.0);
+    }
+
+    // Closed forms. Capacities and sizes are picked so every fair share
+    // and every phase is an exact binary fraction; each finish must then
+    // be the fluid model's completion time, in whole microseconds.
+
+    /// `ceil(num / den)` seconds, in microseconds.
+    fn ceil_us(num: u64, den: u64) -> SimTime {
+        let us = (num as u128 * 1_000_000).div_ceil(den as u128);
+        SimTime::from_micros(us as u64)
+    }
+
+    /// Run every flow to completion: `(finish, id)` in completion order.
+    fn drain(s: &mut FlowSim<()>) -> Vec<(SimTime, FlowId)> {
+        let mut out = Vec::new();
+        while let Some((t, _)) = s.next_completion() {
+            out.extend(s.collect_completed(t).into_iter().map(|id| (t, id)));
+        }
+        out
+    }
+
+    /// MB/s; divisible by every `k` below.
+    const CAP: u64 = 120;
+
+    #[test]
+    fn k_flows_out_of_one_nic_finish_at_k_b_over_cap() {
+        for k in 1..=6u64 {
+            let b = 60 * MB;
+            let mut s = sim(k as usize + 1, CAP as f64);
+            for i in 1..=k {
+                s.start(SimTime::ZERO, NodeId(0), NodeId(i as u32), b, false, ());
+            }
+            let want = ceil_us(k * b, CAP * MB);
+            let done = drain(&mut s);
+            assert_eq!(done.len(), k as usize);
+            assert!(
+                done.iter().all(|&(t, _)| t == want),
+                "k={k}: {done:?}, want {want}"
+            );
+        }
+    }
+
+    #[test]
+    fn k_flows_into_one_nic_finish_at_k_b_over_cap() {
+        for k in 1..=6u64 {
+            let b = 60 * MB;
+            let mut s = sim(k as usize + 1, CAP as f64);
+            for i in 1..=k {
+                s.start(SimTime::ZERO, NodeId(i as u32), NodeId(0), b, false, ());
+            }
+            let want = ceil_us(k * b, CAP * MB);
+            let done = drain(&mut s);
+            assert_eq!(done.len(), k as usize);
+            assert!(
+                done.iter().all(|&(t, _)| t == want),
+                "k={k}: {done:?}, want {want}"
+            );
+        }
+    }
+
+    #[test]
+    fn cross_rack_flows_finish_at_k_b_over_cap_per_oversub() {
+        // k·B / (cap / oversub) with oversub = 2.5: exact for k in 1..=4
+        // and 6 (120 / k / 2.5 MB/s is an exact multiple of 1 MiB/s).
+        for k in [1u64, 2, 3, 4, 6] {
+            let b = 60 * MB;
+            let mut s = FlowSim::new(vec![CAP as f64; k as usize + 1], 2.5);
+            for i in 1..=k {
+                s.start(SimTime::ZERO, NodeId(0), NodeId(i as u32), b, true, ());
+            }
+            let want = ceil_us(k * b * 5, CAP * MB * 2);
+            let done = drain(&mut s);
+            assert_eq!(done.len(), k as usize);
+            assert!(
+                done.iter().all(|&(t, _)| t == want),
+                "k={k}: {done:?}, want {want}"
+            );
+        }
+    }
+
+    #[test]
+    fn staggered_starts_are_piecewise_exact() {
+        // Three 120 MB flows into node 3 at 120 MB/s, starting at 0, 0.25
+        // and 0.5 s. Phases: a alone (30 MB); a, b at 60 (15 MB each);
+        // a, b, c at 40 until a's last 75 MB are done (t = 2.375); b, c
+        // at 60 until b's last 30 MB are done (t = 2.875); c alone for
+        // its last 15 MB (t = 3.0).
+        let mut s = sim(4, CAP as f64);
+        let a = s.start(SimTime::ZERO, NodeId(0), NodeId(3), 120 * MB, false, ());
+        let b = s.start(
+            SimTime::from_micros(250_000),
+            NodeId(1),
+            NodeId(3),
+            120 * MB,
+            false,
+            (),
+        );
+        let c = s.start(
+            SimTime::from_micros(500_000),
+            NodeId(2),
+            NodeId(3),
+            120 * MB,
+            false,
+            (),
+        );
+        let us = SimTime::from_micros;
+        assert_eq!(
+            drain(&mut s),
+            vec![(us(2_375_000), a), (us(2_875_000), b), (us(3_000_000), c)]
+        );
+    }
+
+    #[test]
+    fn an_unchanged_rate_keeps_the_anchor() {
+        // b's start on another pair leaves a's rate bitwise equal, so a
+        // is not re-anchored; a cancel on a's receiver re-anchors it.
+        let mut s = sim(5, 100.0);
+        let a = s.start(SimTime::ZERO, NodeId(0), NodeId(1), 100 * MB, false, ());
+        s.start(
+            SimTime::from_micros(100_000),
+            NodeId(2),
+            NodeId(3),
+            100 * MB,
+            false,
+            (),
+        );
+        assert_eq!(
+            s.anchor_of(a),
+            Some((SimTime::ZERO, (100 * MB) as f64, (100 * MB) as f64))
+        );
+        let c = s.start(
+            SimTime::from_micros(200_000),
+            NodeId(4),
+            NodeId(1),
+            100 * MB,
+            false,
+            (),
+        );
+        let half = (50 * MB) as f64;
+        assert_eq!(
+            s.anchor_of(a),
+            Some((SimTime::from_micros(200_000), (80 * MB) as f64, half))
+        );
+        s.cancel(SimTime::from_micros(400_000), c);
+        assert_eq!(
+            s.anchor_of(a),
+            Some((
+                SimTime::from_micros(400_000),
+                (70 * MB) as f64,
+                (100 * MB) as f64
+            ))
+        );
+        assert_eq!(
+            s.next_completion(),
+            Some((SimTime::from_micros(1_100_000), a))
+        );
+        assert_eq!(
+            s.work(),
+            (4, 5),
+            "3 starts + 1 cancel; 1 + 1 + 2 + 1 re-rates"
+        );
+    }
+
+    #[test]
+    fn a_flow_re_rated_after_its_finish_keeps_residual_zero() {
+        // a is due at 1 s but not collected yet when b joins its receiver
+        // at 1 s: a stays done, with residual 0 and its finish.
+        let mut s = sim(3, 100.0);
+        let a = s.start(SimTime::ZERO, NodeId(0), NodeId(2), 100 * MB, false, ());
+        let t = SimTime::from_secs(1);
+        s.start(t, NodeId(1), NodeId(2), 100 * MB, false, ());
+        assert_eq!(s.anchor_of(a), Some((t, 0.0, (50 * MB) as f64)));
+        assert_eq!(s.next_completion(), Some((t, a)));
+        assert_eq!(s.collect_completed(t), vec![a]);
     }
 }

@@ -65,9 +65,12 @@ impl Subsystem {
 pub struct Profiler {
     wall_ns: [u64; 5],
     events: [u64; 5],
-    peak_slab: u64,
+    peak_active_flows: u64,
     peak_queue: u64,
     invariant_checked: [u64; 2],
+    flow_changes: u64,
+    flow_rerates: u64,
+    netchecks_empty: u64,
 }
 
 impl Profiler {
@@ -83,10 +86,22 @@ impl Profiler {
         self.events[i] += 1;
     }
 
-    /// Raise the peak-slab-occupancy gauge (live arena entries — flows,
-    /// attempts, heartbeat records — at their high-water mark).
-    pub fn note_slab_peak(&mut self, occupancy: u64) {
-        self.peak_slab = self.peak_slab.max(occupancy);
+    /// Raise the peak-active-flows gauge (flows sharing bandwidth at
+    /// once, at their high-water mark).
+    pub fn note_peak_active_flows(&mut self, flows: u64) {
+        self.peak_active_flows = self.peak_active_flows.max(flows);
+    }
+
+    /// Record the flow simulator's work: rate-changing events (starts,
+    /// finishes, cancels, NIC factor changes) and flows re-rated by them.
+    pub fn note_flow_work(&mut self, changes: u64, rerates: u64) {
+        self.flow_changes += changes;
+        self.flow_rerates += rerates;
+    }
+
+    /// Count one network check that stopped no flow (a stale wake-up).
+    pub fn note_empty_netcheck(&mut self) {
+        self.netchecks_empty += 1;
     }
 
     /// Raise the peak-event-queue-length gauge.
@@ -105,9 +120,12 @@ impl Profiler {
         ProfileReport {
             wall_ns: self.wall_ns,
             events: self.events,
-            peak_slab_occupancy: self.peak_slab,
+            peak_active_flows: self.peak_active_flows,
             peak_queue_len: self.peak_queue,
             invariant_checked: self.invariant_checked,
+            flow_changes: self.flow_changes,
+            flow_rerates: self.flow_rerates,
+            netchecks_empty: self.netchecks_empty,
         }
     }
 }
@@ -119,12 +137,19 @@ pub struct ProfileReport {
     pub wall_ns: [u64; 5],
     /// Events dispatched (or, for Queue, pops timed) per subsystem.
     pub events: [u64; 5],
-    /// High-water mark of live slab entries across the run's arenas.
-    pub peak_slab_occupancy: u64,
+    /// High-water mark of simultaneously active flows.
+    pub peak_active_flows: u64,
     /// High-water mark of the pending event-queue length.
     pub peak_queue_len: u64,
     /// Blocks and nodes examined by structural invariant checks.
     pub invariant_checked: [u64; 2],
+    /// Flow-simulator changes: starts, finishes, cancels, NIC factor
+    /// changes.
+    pub flow_changes: u64,
+    /// Flows re-rated because of those changes.
+    pub flow_rerates: u64,
+    /// Network checks (the Net arm's events) that stopped no flow.
+    pub netchecks_empty: u64,
 }
 
 impl ProfileReport {
@@ -148,6 +173,11 @@ impl ProfileReport {
         (self.total_events() as f64 / (wall as f64 / 1e9)) as u64
     }
 
+    /// Flows re-rated per flow-simulator change.
+    pub fn rerates_per_change(&self) -> f64 {
+        self.flow_rerates as f64 / self.flow_changes.max(1) as f64
+    }
+
     /// Blocks and nodes examined by invariant checks per dispatched event.
     pub fn invariant_work_per_event(&self) -> [f64; 2] {
         let events = self.total_events().max(1) as f64;
@@ -166,23 +196,29 @@ impl ProfileReport {
 
     /// Render the `BENCH_profile.json` report: one object with a schema
     /// tag, the scenario label, end-to-end totals, the invariant-check
-    /// work per dispatched event, and one entry per subsystem (integer
-    /// nanoseconds only).
+    /// work per dispatched event, the flow simulator's work counters, and
+    /// one entry per subsystem (integer nanoseconds only).
     pub fn to_json(&self, scenario: &str) -> String {
         let mut s = String::from("{\n");
-        s.push_str("  \"schema\": \"dare-profile-v1\",\n");
+        s.push_str("  \"schema\": \"dare-profile-v2\",\n");
         s.push_str(&format!("  \"scenario\": \"{scenario}\",\n"));
         s.push_str(&format!("  \"total_events\": {},\n", self.total_events()));
         s.push_str(&format!("  \"total_wall_ns\": {},\n", self.total_wall_ns()));
         s.push_str(&format!("  \"events_per_sec\": {},\n", self.events_per_sec()));
-        s.push_str(&format!(
-            "  \"peak_slab_occupancy\": {},\n",
-            self.peak_slab_occupancy
-        ));
+        s.push_str(&format!("  \"peak_active_flows\": {},\n", self.peak_active_flows));
         s.push_str(&format!("  \"peak_queue_len\": {},\n", self.peak_queue_len));
         let [blocks, nodes] = self.invariant_work_per_event();
         s.push_str(&format!("  \"invariant_blocks_per_event\": {blocks:.3},\n"));
         s.push_str(&format!("  \"invariant_nodes_per_event\": {nodes:.3},\n"));
+        s.push_str(&format!("  \"flow_changes\": {},\n", self.flow_changes));
+        s.push_str(&format!("  \"flow_rerates\": {},\n", self.flow_rerates));
+        s.push_str(&format!(
+            "  \"flow_rerates_per_change\": {:.3},\n",
+            self.rerates_per_change()
+        ));
+        let (netchecks, _) = self.of(Subsystem::Net);
+        s.push_str(&format!("  \"netchecks\": {netchecks},\n"));
+        s.push_str(&format!("  \"netchecks_empty\": {},\n", self.netchecks_empty));
         s.push_str("  \"subsystems\": [\n");
         for (i, sub) in Subsystem::ALL.iter().enumerate() {
             let (events, wall) = self.of(*sub);
@@ -212,19 +248,25 @@ impl ProfileReport {
         }
         let [blocks, nodes] = self.invariant_work_per_event();
         format!(
-            "dispatch {:.1}ms: {} | invariants/event: {blocks:.2} blocks {nodes:.2} nodes",
+            "dispatch {:.1}ms: {} | invariants/event: {blocks:.2} blocks {nodes:.2} nodes \
+             | flows: {} changes, {:.2} re-rated/change, {}/{} netchecks empty",
             self.total_wall_ns() as f64 / 1e6,
-            parts.join(" ")
+            parts.join(" "),
+            self.flow_changes,
+            self.rerates_per_change(),
+            self.netchecks_empty,
+            self.of(Subsystem::Net).0,
         )
     }
 }
 
 /// Validate a `BENCH_profile.json` document: schema tag, scenario, totals,
-/// invariant-check work per event, and every subsystem entry with integer
-/// `events`/`wall_ns`/`mean_ns` fields. This is what the CI `telemetry-smoke` gate runs against the
+/// invariant-check work per event, flow-simulator work counters, and
+/// every subsystem entry with integer `events`/`wall_ns`/`mean_ns`
+/// fields. This is what the CI `telemetry-smoke` gate runs against the
 /// written file.
 pub fn validate_profile_json(s: &str) -> Result<(), String> {
-    if !s.contains("\"schema\": \"dare-profile-v1\"") {
+    if !s.contains("\"schema\": \"dare-profile-v2\"") {
         return Err("missing or wrong schema tag".into());
     }
     if !s.contains("\"scenario\": \"") {
@@ -234,16 +276,21 @@ pub fn validate_profile_json(s: &str) -> Result<(), String> {
         "total_events",
         "total_wall_ns",
         "events_per_sec",
-        "peak_slab_occupancy",
+        "peak_active_flows",
         "peak_queue_len",
         "invariant_blocks_per_event",
         "invariant_nodes_per_event",
+        "flow_changes",
+        "flow_rerates",
+        "flow_rerates_per_change",
+        "netchecks",
+        "netchecks_empty",
     ] {
         let pat = format!("\"{key}\": ");
         let at = s.find(&pat).ok_or_else(|| format!("missing {key:?}"))?;
         let rest = &s[at + pat.len()..];
         let num: String = rest.chars().take_while(|c| c.is_ascii_digit() || *c == '.').collect();
-        let ok = if key.ends_with("_per_event") {
+        let ok = if key.contains("_per_") {
             num.parse::<f64>().is_ok()
         } else {
             num.parse::<u64>().is_ok()
@@ -290,7 +337,13 @@ mod tests {
         p.record(Subsystem::Sched, Duration::from_nanos(50));
         p.record(Subsystem::Net, Duration::from_nanos(25));
         p.note_invariant_work(6, 3);
+        p.note_flow_work(4, 10);
+        p.note_empty_netcheck();
+        p.note_peak_active_flows(3);
+        p.note_peak_active_flows(2);
         let r = p.finish();
+        assert_eq!(r.peak_active_flows, 3);
+        assert_eq!(r.rerates_per_change(), 2.5);
         assert_eq!(r.total_events(), 3);
         assert_eq!(r.invariant_work_per_event(), [2.0, 1.0]);
         assert_eq!(r.total_wall_ns(), 175);
@@ -302,6 +355,8 @@ mod tests {
         assert!(json.contains("\"name\": \"fault\", \"events\": 0"));
         assert!(json.contains("\"invariant_blocks_per_event\": 2.000"));
         assert!(json.contains("\"invariant_nodes_per_event\": 1.000"));
+        assert!(json.contains("\"flow_rerates_per_change\": 2.500"));
+        assert!(json.contains("\"netchecks\": 1,\n  \"netchecks_empty\": 1,"));
         assert!(r.summary().contains("sched"));
         assert!(r.summary().contains("2.00 blocks 1.00 nodes"), "{}", r.summary());
     }
@@ -312,7 +367,7 @@ mod tests {
         let r = Profiler::new().finish();
         let good = r.to_json("x");
         validate_profile_json(&good).expect("valid");
-        assert!(validate_profile_json(&good.replace("dare-profile-v1", "v0")).is_err());
+        assert!(validate_profile_json(&good.replace("dare-profile-v2", "v0")).is_err());
         assert!(validate_profile_json(&good.replace("\"name\": \"net\"", "\"name\": \"nyet\"")).is_err());
         assert!(
             validate_profile_json(&good.replace("\"total_events\": 0", "\"total_events\": x"))
@@ -322,5 +377,6 @@ mod tests {
         assert!(validate_profile_json(&dropped).is_err());
         let garbled = good.replace("_per_event\": 0.000", "_per_event\": -");
         assert!(validate_profile_json(&garbled).is_err());
+        assert!(validate_profile_json(&good.replace("netchecks_empty", "empty")).is_err());
     }
 }
