@@ -1,8 +1,8 @@
 //! Before/after benchmark of the incremental locality index.
 //!
 //! "Before" is the retained naive-scan scheduler path
-//! (`dare_sched::oracle`, O(tasks × replicas) per offer, full deficit
-//! sort per Fair offer); "after" is the indexed production path. Both
+//! (`dare_oracle`, O(tasks × replicas) per offer, full deficit sort per
+//! Fair offer); "after" is the indexed production path. Both
 //! replay the identical offer stream — the differential tests prove them
 //! bit-identical — on the paper's 100-node EC2 profile, in a
 //! scheduling-dominated configuration (many concurrent jobs, instant
@@ -18,10 +18,10 @@
 use dare_bench::microbench::{black_box, Runner};
 use dare_core::PolicyKind;
 use dare_dfs::BlockId;
-use dare_mapred::{SchedulerKind, SimConfig};
+use dare_mapred::{Engine, SchedulerKind, SimConfig};
 use dare_net::{ClusterProfile, NodeId, Topology};
+use dare_oracle::{NaiveFairScheduler, NaiveFifoScheduler};
 use dare_sched::locality::classify;
-use dare_sched::oracle::{NaiveFairScheduler, NaiveFifoScheduler};
 use dare_sched::{
     FairScheduler, FifoScheduler, JobId, JobQueue, PendingTask, Scheduler, TableLookup, TaskId,
 };
@@ -207,13 +207,17 @@ fn engine_wallclock(r: &mut Runner) -> PairResult {
         let label = if naive { "naive" } else { "indexed" };
         let wl = &wl;
         r.bench(&format!("engine_ec2/fair/{label}"), move || {
-            let mut cfg = SimConfig::ec2(
+            let cfg = SimConfig::ec2(
                 PolicyKind::elephant_default(),
                 SchedulerKind::fair_default(),
                 7,
             );
-            cfg.naive_scan = naive;
-            black_box(dare_mapred::run(cfg, wl))
+            let scheduler: Box<dyn Scheduler> = if naive {
+                Box::new(NaiveFairScheduler::new())
+            } else {
+                cfg.scheduler.build()
+            };
+            black_box(Engine::with_scheduler(cfg, wl, scheduler).run())
         })
         .median_ns
     };

@@ -317,4 +317,160 @@ mod tests {
         let b = t.find_victim(1, |_| true).expect("cold ring");
         assert_ne!(a, b);
     }
+
+    /// Heavy-hitter detection quality: replay an access stream into a
+    /// trap under the same sampling discipline Algorithm 2 uses, compare
+    /// against exact counts, and score precision/recall of the true
+    /// top-k — the measurement behind choosing `p` and the trap size.
+    /// The design rests on the ElephantTrap identifying "the most
+    /// popular set of data" from sampled accesses (Section I).
+    mod detection {
+        use super::super::CircularTrap;
+        use dare_simcore::dist::Zipf;
+        use dare_simcore::DetRng;
+        use std::collections::HashMap;
+
+        /// Quality of one trap configuration against ground truth.
+        #[derive(Debug, Clone, Copy, PartialEq)]
+        struct TrapQuality {
+            /// Fraction of the true top-k keys present in the trap at the end.
+            recall_at_k: f64,
+            /// Fraction of trap occupants that belong to the true top-`len` keys
+            /// (how much of the budget tracks genuinely hot items).
+            precision: f64,
+            /// Keys tracked at the end.
+            tracked: usize,
+            /// Insertions performed (≈ replication cost in the DARE analogy).
+            insertions: u64,
+        }
+
+        /// Replay `stream` into a trap of `slots` entries with sampling
+        /// probability `p` and aging `threshold`; score against the true top-`k`.
+        fn evaluate<K: Eq + std::hash::Hash + Copy + Ord>(
+            stream: &[K],
+            slots: usize,
+            p: f64,
+            threshold: u64,
+            k: usize,
+            rng: &mut DetRng,
+        ) -> TrapQuality {
+            assert!(slots > 0 && k > 0);
+            let mut trap = CircularTrap::new();
+            let mut exact: HashMap<K, u64> = HashMap::new();
+            let mut insertions = 0u64;
+
+            for &key in stream {
+                *exact.entry(key).or_insert(0) += 1;
+                // Algorithm 2's discipline: one coin gates both refresh and insert.
+                if !rng.coin(p) {
+                    continue;
+                }
+                if trap.touch(&key) {
+                    continue;
+                }
+                if trap.len() >= slots {
+                    match trap.find_victim(threshold, |_| true) {
+                        Some(v) => {
+                            trap.remove(&v);
+                        }
+                        None => continue,
+                    }
+                }
+                trap.insert(key);
+                insertions += 1;
+            }
+
+            // Ground truth ranking (ties by key for determinism).
+            let mut truth: Vec<(K, u64)> = exact.into_iter().collect();
+            truth.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+            let k = k.min(truth.len());
+            let top: Vec<K> = truth.iter().take(k).map(|&(key, _)| key).collect();
+            let top_for_precision: Vec<K> = truth
+                .iter()
+                .take(trap.len().max(1))
+                .map(|&(key, _)| key)
+                .collect();
+
+            let caught = top.iter().filter(|key| trap.contains(key)).count();
+            let tracked = trap.len();
+            let precise = trap
+                .heavy_hitters()
+                .iter()
+                .filter(|(key, _)| top_for_precision.contains(key))
+                .count();
+
+            TrapQuality {
+                recall_at_k: caught as f64 / k as f64,
+                precision: if tracked == 0 {
+                    0.0
+                } else {
+                    precise as f64 / tracked as f64
+                },
+                tracked,
+                insertions,
+            }
+        }
+
+        fn zipf_stream(keys: usize, s: f64, len: usize, seed: u64) -> Vec<u64> {
+            let z = Zipf::new(keys, s);
+            let mut rng = DetRng::new(seed);
+            (0..len).map(|_| z.sample(&mut rng) as u64).collect()
+        }
+
+        #[test]
+        fn catches_most_of_the_top_k_on_skewed_streams() {
+            let stream = zipf_stream(2000, 1.2, 200_000, 1);
+            let mut rng = DetRng::new(2);
+            let q = evaluate(&stream, 64, 0.1, 1, 16, &mut rng);
+            assert!(q.recall_at_k >= 0.75, "recall {q:?}");
+            assert!(q.precision >= 0.4, "precision {q:?}");
+            assert!(q.tracked <= 64);
+        }
+
+        #[test]
+        fn more_slots_do_not_hurt_recall() {
+            let stream = zipf_stream(1000, 1.1, 100_000, 3);
+            let mut r1 = DetRng::new(4);
+            let mut r2 = DetRng::new(4);
+            let small = evaluate(&stream, 16, 0.2, 1, 10, &mut r1);
+            let big = evaluate(&stream, 128, 0.2, 1, 10, &mut r2);
+            assert!(
+                big.recall_at_k >= small.recall_at_k - 0.1,
+                "small {small:?} big {big:?}"
+            );
+        }
+
+        #[test]
+        fn lower_p_costs_fewer_insertions() {
+            let stream = zipf_stream(1000, 1.1, 100_000, 5);
+            let mut r1 = DetRng::new(6);
+            let mut r2 = DetRng::new(6);
+            let lo = evaluate(&stream, 64, 0.05, 1, 10, &mut r1);
+            let hi = evaluate(&stream, 64, 0.9, 1, 10, &mut r2);
+            assert!(
+                lo.insertions * 3 < hi.insertions,
+                "sampling must cut insert churn: lo {lo:?} hi {hi:?}"
+            );
+            // ...while the hottest keys still get caught.
+            assert!(lo.recall_at_k >= 0.6, "lo recall {lo:?}");
+        }
+
+        #[test]
+        fn uniform_streams_give_no_free_lunch() {
+            // With no skew there is nothing to detect; recall of the "top" 10
+            // (arbitrary under uniformity) should be near the tracked share.
+            let stream = zipf_stream(1000, 0.2, 50_000, 7);
+            let mut rng = DetRng::new(8);
+            let q = evaluate(&stream, 32, 0.3, 1, 10, &mut rng);
+            assert!(q.recall_at_k <= 0.6, "uniform stream: {q:?}");
+        }
+
+        #[test]
+        fn degenerate_inputs() {
+            let mut rng = DetRng::new(9);
+            let q = evaluate(&[1u64, 1, 1], 4, 1.0, 1, 5, &mut rng);
+            assert_eq!(q.recall_at_k, 1.0, "single key always caught: {q:?}");
+            assert_eq!(q.tracked, 1);
+        }
+    }
 }

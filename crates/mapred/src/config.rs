@@ -6,6 +6,7 @@ use dare_core::PolicyKind;
 use dare_dfs::DfsConfig;
 use dare_net::ClusterProfile;
 use dare_sched::fair::FairConfig;
+use dare_sched::{CapacityScheduler, FairScheduler, FifoScheduler, Scheduler};
 use dare_simcore::{QueueKind, SimDuration};
 
 /// Which scheduler drives the run.
@@ -31,6 +32,16 @@ impl SchedulerKind {
             SchedulerKind::Fifo => "fifo",
             SchedulerKind::Fair(_) => "fair",
             SchedulerKind::Capacity(_) => "capacity",
+        }
+    }
+
+    /// The scheduler this kind names — the one place the engine's
+    /// scheduler is built.
+    pub fn build(&self) -> Box<dyn Scheduler> {
+        match *self {
+            SchedulerKind::Fifo => Box::new(FifoScheduler::new()),
+            SchedulerKind::Fair(fc) => Box::new(FairScheduler::with_config(fc)),
+            SchedulerKind::Capacity(q) => Box::new(CapacityScheduler::new(q)),
         }
     }
 }
@@ -79,11 +90,6 @@ pub struct SimConfig {
     /// it. Observation-only: an armed run is bit-identical to an unarmed
     /// one unless it fails.
     pub check_invariants: bool,
-    /// Drive the run with the retained naive-scan reference schedulers
-    /// (`dare_sched::oracle`) instead of the indexed ones. Bit-identical
-    /// results by construction; exists for differential testing and
-    /// benchmarking the index speedup.
-    pub naive_scan: bool,
     /// Periodic cluster-state sampling into
     /// [`crate::SimResult::telemetry`]. Observation-only: a sampled run
     /// is bit-identical to an unsampled one, and `None` (the default)
@@ -203,7 +209,6 @@ impl SimConfig {
             speculation: None,
             record_trace: false,
             check_invariants: false,
-            naive_scan: false,
             telemetry: None,
             self_profile: false,
             event_queue: QueueKind::Calendar,
@@ -224,12 +229,6 @@ impl SimConfig {
     /// `batched_heartbeats`; changes timing, off by default).
     pub fn with_batched_heartbeats(mut self) -> Self {
         self.batched_heartbeats = true;
-        self
-    }
-
-    /// Switch to the naive-scan reference schedulers (differential runs).
-    pub fn with_naive_scan(mut self) -> Self {
-        self.naive_scan = true;
         self
     }
 
@@ -349,6 +348,22 @@ impl SimConfig {
         if self.profile.nodes == 0 {
             return Err("empty cluster".into());
         }
+        if matches!(self.scheduler, SchedulerKind::Capacity(0)) {
+            return Err("capacity scheduler with zero queues".into());
+        }
+        if let Some(sc) = &self.scarlett {
+            // A zero epoch re-arms its own boundary at the same instant
+            // forever: simulated time would never advance.
+            if sc.epoch == SimDuration::ZERO {
+                return Err("zero Scarlett epoch".into());
+            }
+            if !(sc.accesses_per_replica.is_finite() && sc.accesses_per_replica > 0.0) {
+                return Err(format!(
+                    "Scarlett accesses_per_replica {} not finite and positive",
+                    sc.accesses_per_replica
+                ));
+            }
+        }
         if let Some(t) = &self.telemetry {
             if t.interval == SimDuration::ZERO {
                 return Err("zero telemetry interval".into());
@@ -405,6 +420,28 @@ mod tests {
                 .with_failures(vec![(40, 2), (90, 2)])
         });
         assert!(duplicate.is_err(), "duplicate kill of node 2");
+    }
+
+    #[test]
+    fn validation_catches_configs_that_hang_or_panic() {
+        let base = SimConfig::cct(PolicyKind::Vanilla, SchedulerKind::Fifo, 1);
+        let scarlett = |epoch_secs, accesses_per_replica| {
+            base.clone().with_scarlett(ScarlettConfig {
+                epoch: SimDuration::from_secs(epoch_secs),
+                accesses_per_replica,
+                ..ScarlettConfig::default()
+            })
+        };
+        assert!(scarlett(60, 4.0).validate().is_ok());
+        assert!(scarlett(0, 4.0).validate().is_err(), "zero epoch never advances");
+        for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            assert!(scarlett(60, bad).validate().is_err(), "accesses_per_replica {bad}");
+        }
+        let mut c = base.clone();
+        c.scheduler = SchedulerKind::Capacity(1);
+        assert!(c.validate().is_ok());
+        c.scheduler = SchedulerKind::Capacity(0);
+        assert!(c.validate().is_err(), "zero capacity queues");
     }
 
     #[test]

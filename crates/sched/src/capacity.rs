@@ -11,7 +11,7 @@
 //! (no hard caps), matching the Hadoop scheduler's default behaviour.
 //!
 //! Within-job task selection uses the queue's locality index
-//! ([`JobQueue::pick_best_for`]); [`crate::oracle::NaiveCapacityScheduler`]
+//! ([`JobQueue::pick_best_for`]); `dare_oracle::NaiveCapacityScheduler`
 //! keeps the original scan for the differential tests.
 
 use crate::queue::{Assignment, JobId, JobQueue};

@@ -22,8 +22,8 @@
 //! `BTreeSet` ([`JobQueue::deficit_order_into`], filled into a reusable
 //! scratch buffer) and per-job task selection from the locality index
 //! ([`JobQueue::pick_best_for`]) — no sort and no allocation per offer.
-//! [`crate::oracle::NaiveFairScheduler`] keeps the original
-//! sort-plus-scan for the differential tests.
+//! `dare_oracle::NaiveFairScheduler` keeps the original sort-plus-scan
+//! for the differential tests.
 
 use crate::locality::Locality;
 use crate::queue::{Assignment, JobId, JobQueue};

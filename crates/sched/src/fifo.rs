@@ -14,7 +14,7 @@
 //!
 //! Task selection is answered by the queue's locality index
 //! ([`JobQueue::pick_best_for`]) in O(log pending) without touching the
-//! per-task location lists; [`crate::oracle::NaiveFifoScheduler`] keeps the
+//! per-task location lists; `dare_oracle::NaiveFifoScheduler` keeps the
 //! original scan for the differential tests.
 
 use crate::queue::{Assignment, JobQueue};

@@ -30,7 +30,6 @@ pub mod capacity;
 pub mod fair;
 pub mod fifo;
 pub mod locality;
-pub mod oracle;
 pub mod queue;
 
 pub use capacity::CapacityScheduler;

@@ -24,9 +24,10 @@
 //! That reproduces the scan's selection *bit-exactly*: the scan keeps the
 //! first index of the best locality class (strict-improvement replacement,
 //! early break on node-local), i.e. the minimum position within the best
-//! class — precisely the set minima above. `tests/differential_oracle.rs`
-//! enforces the equivalence against the retained scan implementation in
-//! [`crate::oracle`] under replication churn on both schedulers.
+//! class — precisely the set minima above. The `dare-oracle` crate's
+//! `tests/differential_oracle.rs` enforces the equivalence against the
+//! retained scan implementation under replication churn on both
+//! schedulers.
 //!
 //! The index is maintained incrementally on every mutation (task taken:
 //! `swap_remove` moves one task, so two tasks' entries are touched; task

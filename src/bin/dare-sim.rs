@@ -246,12 +246,23 @@ fn build_config(a: &Args) -> Result<SimConfig, String> {
         other => return Err(format!("unknown cluster {other} (cct|ec2)")),
     };
     cfg.budget_frac = a.budget;
-    if !a.failures.is_empty() {
-        cfg = cfg.with_failures(a.failures.clone());
-    }
-    if !a.degradations.is_empty() {
-        cfg = cfg.with_degradations(a.degradations.clone());
-    }
+    // Inline fault flags go straight into the plan: `validate` below
+    // reports a bad node, a duplicate kill or a factor below 1 as a CLI
+    // error, where the `with_failures`/`with_degradations` builders panic.
+    let kills = a
+        .failures
+        .iter()
+        .map(|&(at_secs, node)| mapred::FaultEvent::Kill { at_secs, node });
+    cfg.faults.events.extend(kills);
+    let slowdowns = a.degradations.iter().map(|&(at_secs, node, factor)| {
+        mapred::FaultEvent::Slowdown {
+            at_secs,
+            node,
+            factor,
+            duration_secs: None,
+        }
+    });
+    cfg.faults.events.extend(slowdowns);
     if a.speculation {
         cfg = cfg.with_speculation(SpeculationConfig::default());
     }
@@ -280,6 +291,7 @@ fn build_config(a: &Args) -> Result<SimConfig, String> {
             ..ScarlettConfig::default()
         });
     }
+    cfg.validate()?;
     Ok(cfg)
 }
 
@@ -1150,6 +1162,26 @@ mod tests {
         assert!(build_config(&a).is_err());
         let a = parse_args(&argv("--workload wl9")).expect("parses");
         assert!(build_workload(&a).is_err());
+    }
+
+    #[test]
+    fn rejects_configs_the_engine_cannot_run() {
+        // A zero epoch never lets simulated time advance; zero queues,
+        // a bad kill or a speed-up "slowdown" panic further in. All are
+        // CLI errors.
+        let a = parse_args(&argv("--jobs 5 --scarlett-epoch 0")).expect("parses");
+        let e = build_config(&a).expect_err("zero Scarlett epoch");
+        assert!(e.contains("Scarlett epoch"), "{e}");
+        let a = parse_args(&argv("--scheduler capacity --capacity-queues 0")).expect("parses");
+        let e = build_config(&a).expect_err("zero capacity queues");
+        assert!(e.contains("zero queues"), "{e}");
+        let a = parse_args(&argv("--jobs 5 --scarlett-epoch 30")).expect("parses");
+        assert!(build_config(&a).is_ok());
+        // Inline fault flags the plan validator rejects (19-node CCT).
+        for bad in ["--fail 60:99", "--fail 60:2 --fail 70:2", "--degrade 30:2:0.5"] {
+            let a = parse_args(&argv(bad)).expect("parses");
+            assert!(build_config(&a).is_err(), "{bad}");
+        }
     }
 
     #[test]

@@ -1,15 +1,19 @@
 //! Engine-level differential oracle: a full simulation driven by the
 //! indexed schedulers must be **bit-identical** to one driven by the
-//! retained naive-scan implementations (`cfg.naive_scan = true`).
+//! retained naive-scan implementations in `dare_oracle`, injected through
+//! [`Engine::with_scheduler`].
 //!
-//! The sched crate's differential test already replays randomized offer
+//! The oracle crate's differential test already replays randomized offer
 //! streams against both queue implementations; this test closes the loop
 //! end-to-end — replica churn from the DARE policy, dynamic-replica
 //! promotion batches, speculative backups, node failures with index
-//! rebuilds — and demands byte-equal job outcomes and run metrics.
+//! rebuilds, corrupt-replica quarantine and block scrubbing — and demands
+//! byte-equal job outcomes, run metrics and final replica maps.
 
 use dare_core::PolicyKind;
-use dare_mapred::{SchedulerKind, SimConfig, SimResult};
+use dare_mapred::{Engine, SchedulerKind, SimConfig, SimResult};
+use dare_oracle::{NaiveCapacityScheduler, NaiveFairScheduler, NaiveFifoScheduler};
+use dare_sched::Scheduler;
 use dare_workload::swim::{synthesize, SwimParams};
 use dare_workload::Workload;
 
@@ -60,11 +64,22 @@ fn assert_identical(a: &SimResult, b: &SimResult, label: &str) {
         "{label}: dynamic bytes"
     );
     assert_eq!(a.faults, b.faults, "{label}: fault counters");
+    assert_eq!(a.dfs_fingerprint, b.dfs_fingerprint, "{label}: replica map");
+}
+
+/// The naive-scan twin of the scheduler `kind` names.
+fn naive(kind: SchedulerKind) -> Box<dyn Scheduler> {
+    match kind {
+        SchedulerKind::Fifo => Box::new(NaiveFifoScheduler::new()),
+        SchedulerKind::Fair(fc) => Box::new(NaiveFairScheduler::with_config(fc)),
+        SchedulerKind::Capacity(q) => Box::new(NaiveCapacityScheduler::new(q)),
+    }
 }
 
 fn run_pair(cfg: SimConfig, wl: &Workload, label: &str) {
+    let oracle = naive(cfg.scheduler);
     let indexed = dare_mapred::run(cfg.clone(), wl);
-    let naive = dare_mapred::run(cfg.with_naive_scan(), wl);
+    let naive = Engine::with_scheduler(cfg, wl, oracle).run();
     assert_identical(&indexed, &naive, label);
 }
 
@@ -141,4 +156,53 @@ fn fault_plan_engine_matches_naive_scan() {
     .with_faults(plan)
     .with_invariant_checks();
     run_pair(cfg, &wl, "fault plan ec2 fair");
+}
+
+#[test]
+fn integrity_path_engine_matches_naive_fair() {
+    // Silent corruption plus the block scanner: read-path checksum
+    // failures requeue tasks and quarantine their source, scrub passes
+    // quarantine rotten replicas between reads, and DARE-LRU keeps
+    // adding and evicting dynamic replicas throughout. Every one of
+    // those paths edits the scheduler's locality index. The armed
+    // invariants also pin the repair path: this run completes one of two
+    // concurrent repairs of a block while the other is still in flight,
+    // and no third may start (`primary-within-rf`).
+    use dare_mapred::{FaultPlan, FaultSpec, ScannerConfig};
+    use dare_simcore::{DetRng, SimDuration};
+    let wl = swim(600, 60);
+    let seed = 17;
+    let base = SimConfig::cct(PolicyKind::GreedyLru, SchedulerKind::fair_default(), seed);
+    let racks = base
+        .profile
+        .build_topology(&mut DetRng::new(seed).substream("topology"))
+        .racks();
+    let bs = base.dfs.block_size;
+    let blocks: u64 = wl.files.iter().map(|f| f.size_bytes.div_ceil(bs)).sum();
+    let spec = FaultSpec {
+        horizon_secs: 240,
+        kills: 0,
+        crashes: 1,
+        mean_down_secs: 60,
+        rack_outages: 0,
+        stragglers: 0,
+        straggler_factor: 1.0,
+        corruption_rate_per_node_hour: 240.0,
+    };
+    let plan = FaultPlan::generate_with_blocks(&spec, base.profile.nodes, racks, blocks, 0x1DE6);
+    let cfg = base
+        .with_scanner(ScannerConfig {
+            period: SimDuration::from_secs(60),
+            bytes_per_sec: 4 << 20,
+        })
+        .with_faults(plan)
+        .with_invariant_checks();
+    let indexed = dare_mapred::run(cfg.clone(), &wl);
+    let f = &indexed.faults;
+    assert!(f.replicas_corrupted > 0, "the plan rotted replicas: {f:?}");
+    assert!(f.checksum_failures > 0, "a read hit rot: {f:?}");
+    assert!(f.scrub_detections > 0, "the scanner found rot: {f:?}");
+    assert!(indexed.replicas_created > 0, "DARE replicated");
+    let naive = Engine::with_scheduler(cfg, &wl, naive(SchedulerKind::fair_default())).run();
+    assert_identical(&indexed, &naive, "integrity cct lru fair");
 }
